@@ -41,25 +41,43 @@ let config_of ~incremental =
   { Engine.default_config with incremental; retain_concluded = true }
 
 (* One full run of [script] in the given mode: decision sequence, final
-   status, final task states. *)
-let drive ~incremental ?faults (script, root) =
+   status, final task states. [register] binds the implementations,
+   [mid] runs against the launched instance before the drain (e.g. a
+   partial run followed by a reconfiguration). *)
+let drive ~incremental ?faults ?(register = Workloads.register ?work:None)
+    ?(inputs = Workloads.seed_inputs) ?(mid = fun _ _ -> ()) (script, root) =
   let tb = Testbed.make ~engine_config:(config_of ~incremental) () in
-  Workloads.register tb.Testbed.registry;
+  register tb.Testbed.registry;
   let decisions = decision_log tb.Testbed.sim in
   Option.iter (Testbed.apply_faults tb) faults;
-  match Testbed.launch_and_run ~until:(Sim.sec 120) tb ~script ~root ~inputs:Workloads.seed_inputs with
+  match Engine.launch tb.Testbed.engine ~script ~root ~inputs with
   | Error e -> Alcotest.failf "launch failed: %s" e
-  | Ok (iid, status) ->
-    (decisions (), status, Engine.task_states tb.Testbed.engine iid)
+  | Ok iid -> (
+    mid tb iid;
+    Testbed.run ~until:(Sim.sec 120) tb;
+    match Engine.status tb.Testbed.engine iid with
+    | None -> Alcotest.fail "instance vanished"
+    | Some status ->
+      ( decisions (),
+        status,
+        Engine.task_states tb.Testbed.engine iid,
+        List.map
+          (fun (path, _) ->
+            Engine.marks_of tb.Testbed.engine iid ~path:(String.split_on_char '/' path))
+          (Engine.task_states tb.Testbed.engine iid) ))
 
-let modes_agree ?faults workload =
-  let d_inc, s_inc, st_inc = drive ~incremental:true ?faults workload in
-  let d_ref, s_ref, st_ref = drive ~incremental:false ?faults workload in
+let modes_agree ?faults ?register ?inputs ?mid workload =
+  let d_inc, s_inc, st_inc, m_inc = drive ~incremental:true ?faults ?register ?inputs ?mid workload in
+  let d_ref, s_ref, st_ref, m_ref =
+    drive ~incremental:false ?faults ?register ?inputs ?mid workload
+  in
   if d_inc <> d_ref then
     Alcotest.failf "decision sequences diverge:\nincremental: %s\nreference:   %s"
       (String.concat " | " d_inc) (String.concat " | " d_ref);
   check "same final status" true (s_inc = s_ref);
-  check "same final task states" true (st_inc = st_ref)
+  check "same final task states" true (st_inc = st_ref);
+  check "same marks" true (m_inc = m_ref);
+  d_inc
 
 (* --- randomized workflow DAGs --- *)
 
@@ -173,26 +191,154 @@ let prop_random_dags =
   QCheck.Test.make ~name:"incremental = full rescan on random DAGs" ~count:40
     (QCheck.make gen_dag ~print:(fun nodes -> fst (dag_script nodes)))
     (fun nodes ->
-      modes_agree (dag_script nodes);
+      ignore (modes_agree (dag_script nodes));
       true)
 
 (* --- the structured workload families, including under faults --- *)
 
 let test_families () =
-  modes_agree (Workloads.chain ~n:12);
-  modes_agree (Workloads.fanout ~width:6);
-  modes_agree (Workloads.nested ~depth:5);
-  modes_agree (Workloads.alternatives ~k:4 ~alive:3)
+  ignore (modes_agree (Workloads.chain ~n:12));
+  ignore (modes_agree (Workloads.fanout ~width:6));
+  ignore (modes_agree (Workloads.nested ~depth:5));
+  ignore (modes_agree (Workloads.alternatives ~k:4 ~alive:3))
 
 let test_crash_recovery () =
   (* an engine crash mid-run exercises recovery's full replay in both
      modes (per-instance directory rows vs the legacy roster list) *)
   let faults = Fault.crash_restart ~node:"n0" ~at:(Sim.ms 30) ~down_for:(Sim.ms 50) in
-  let d_inc, s_inc, st_inc = drive ~incremental:true ~faults (Workloads.chain ~n:10) in
-  let d_ref, s_ref, st_ref = drive ~incremental:false ~faults (Workloads.chain ~n:10) in
-  ignore (d_inc, d_ref);
+  let _, s_inc, st_inc, _ = drive ~incremental:true ~faults (Workloads.chain ~n:10) in
+  let _, s_ref, st_ref, _ = drive ~incremental:false ~faults (Workloads.chain ~n:10) in
   check "crash/recovery: same final status" true (s_inc = s_ref);
   check "crash/recovery: same final task states" true (st_inc = st_ref)
+
+(* --- the shapes dense node ids and the worklist change --- *)
+
+let count_prefix prefix decisions =
+  List.length (List.filter (String.starts_with ~prefix) decisions)
+
+let test_wide_chain () =
+  (* one scope of 512 constituents: every pass used to walk all of them *)
+  let d = modes_agree (Workloads.chain ~n:512) in
+  check_int "every step dispatched once" 512 (count_prefix "dispatch " d)
+
+let trip_rounds =
+  { Impls.trip_smooth with Impls.hotel_fails_rounds = 2; hotel_inner_retries = 1 }
+
+let business_trip = (Paper_scripts.business_trip, Paper_scripts.business_trip_root)
+
+let trip_input = [ ("user", Value.obj ~cls:"User" (Value.Str "fred")) ]
+
+let test_business_trip_repeats () =
+  (* whole-scope repeat outcomes wipe the reservation subtree, and the
+     toPay mark is released along the way *)
+  let d =
+    modes_agree ~register:(Impls.register_business_trip ?work:None ~scenario:trip_rounds)
+      ~inputs:trip_input business_trip
+  in
+  check "a compound scope repeated" true (count_prefix "repeat " d >= 2);
+  check "a mark was released" true (count_prefix "mark " d >= 1)
+
+let timeout_demo = (Paper_scripts.timeout_demo, Paper_scripts.timeout_demo_root)
+
+let request_input = [ ("request", Value.obj ~cls:"Request" (Value.Str "ping")) ]
+
+let test_timers () =
+  (* a Timer input set armed, then either beaten by the responder or
+     fired and chosen *)
+  List.iter
+    (fun delay ->
+      ignore
+        (modes_agree ~register:(Impls.register_timeout_demo ?work:None ~responder_delay:delay)
+           ~inputs:request_input timeout_demo))
+    [ Sim.ms 5; Sim.ms 500 ]
+
+let impact_outer =
+  {|
+class Alarms;
+class Report;
+taskclass Outer {
+    inputs { input main { alarmsSource of class Alarms } };
+    outputs { outcome done { report of class Report } }
+};
+taskclass ServiceImpactApplication {
+    inputs { input main { alarmsSource of class Alarms } };
+    outputs {
+        outcome resolved { resolutionReport of class Report };
+        outcome notResolved { }
+    }
+};
+compoundtask outer of taskclass Outer {
+    task impact of taskclass ServiceImpactApplication {
+        implementation { "code" is "impactScript" };
+        inputs { input main {
+            inputobject alarmsSource from { alarmsSource of task outer if input main }
+        } }
+    };
+    outputs {
+        outcome done {
+            outputobject report from { resolutionReport of task impact if output resolved }
+        }
+    }
+}
+|}
+
+let register_impact reg =
+  Impls.register_service_impact ~scenario:Impls.Impact_resolved reg;
+  match Frontend.compile Paper_scripts.service_impact ~root:Paper_scripts.service_impact_root with
+  | Ok sub -> Registry.bind_script reg ~code:"impactScript" sub
+  | Error e -> Alcotest.failf "compile sub: %s" (Frontend.error_to_string e)
+
+let alarms_input = [ ("alarmsSource", Value.obj ~cls:"Alarms" (Value.Str "alarms")) ]
+
+let test_registry_bound_subworkflow () =
+  let _, status, _, _ =
+    drive ~incremental:true ~register:register_impact ~inputs:alarms_input (impact_outer, "outer")
+  in
+  check "the bound sub-workflow ran to completion" true
+    (match status with Wstate.Wf_done _ -> true | _ -> false);
+  ignore (modes_agree ~register:register_impact ~inputs:alarms_input (impact_outer, "outer"))
+
+(* add a constituent to the chain while it runs: [extra] consumes the
+   third step, so the index rebuilt after the swap must schedule it *)
+let add_extra ast =
+  Reconfig.add_constituent ~scope:[ "chain" ]
+    ~decl:
+      {|
+task extra of taskclass Step {
+    implementation { "code" is "w.step" };
+    inputs { input main { inputobject data from { data of task s3 if output done } } }
+}
+|}
+    ast
+
+let reconfigure_at ~at tb iid =
+  Sim.run ~until:at tb.Testbed.sim;
+  Engine.reconfigure tb.Testbed.engine iid ~transform:add_extra (function
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "reconfigure failed: %s" e)
+
+let test_mid_run_reconfigure () =
+  let d = modes_agree ~mid:(reconfigure_at ~at:(Sim.ms 3)) (Workloads.chain ~n:8) in
+  check "the added constituent ran" true
+    (List.exists (String.starts_with ~prefix:"dispatch chain/extra ") d)
+
+let test_repeats_under_crash () =
+  (* the business trip's repeat rounds with the engine node crashing in
+     the middle: recovery rebuilds the mirrors from the store and the
+     incremental pump must resume exactly where the full rescan does *)
+  let faults = Fault.crash_restart ~node:"n0" ~at:(Sim.ms 40) ~down_for:(Sim.ms 30) in
+  let register = Impls.register_business_trip ?work:None ~scenario:trip_rounds in
+  let _, s_inc, st_inc, m_inc =
+    drive ~incremental:true ~faults ~register ~inputs:trip_input business_trip
+  in
+  let _, s_ref, st_ref, m_ref =
+    drive ~incremental:false ~faults ~register ~inputs:trip_input business_trip
+  in
+  check "crash/recovery: trip concluded" true
+    (match s_inc with Wstate.Wf_done _ -> true | _ -> false);
+  check "crash/recovery: same final status" true (s_inc = s_ref);
+  check "crash/recovery: same final task states" true (st_inc = st_ref);
+  check "crash/recovery: same marks" true (m_inc = m_ref)
 
 (* --- pointwise: scan_from against scan on a fresh instance --- *)
 
@@ -290,6 +436,12 @@ let () =
           Alcotest.test_case "workload families" `Quick test_families;
           Alcotest.test_case "crash recovery" `Quick test_crash_recovery;
           Alcotest.test_case "pointwise scan_from" `Quick test_pointwise;
+          Alcotest.test_case "chain of 512" `Quick test_wide_chain;
+          Alcotest.test_case "business trip repeats and marks" `Quick test_business_trip_repeats;
+          Alcotest.test_case "timer inputs" `Quick test_timers;
+          Alcotest.test_case "registry-bound sub-workflow" `Quick test_registry_bound_subworkflow;
+          Alcotest.test_case "mid-run reconfigure" `Quick test_mid_run_reconfigure;
+          Alcotest.test_case "repeats under crash and recovery" `Quick test_repeats_under_crash;
         ] );
       ( "jitter",
         [
