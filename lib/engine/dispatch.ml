@@ -120,11 +120,11 @@ and schedule_drain t delay =
   let inc = t.incarnation in
   ignore (Sim.schedule t.sim ~delay (fun () -> if t.incarnation = inc then drain t ()))
 
-let fire_exec t ~host ~retries req k =
+let fire_exec t ~host ~retries ~key req k =
   Sim.emit t.sim ~src:(node_id t)
     (Event.Task_dispatched
        {
-         path = Wstate.path_to_string req.Wfmsg.x_path;
+         path = key;
          code = req.Wfmsg.x_code;
          host;
          attempt = req.Wfmsg.x_attempt;
@@ -133,12 +133,12 @@ let fire_exec t ~host ~retries req k =
     ~service:(Wfmsg.service_exec ~engine:(node_id t))
     ~body:(Wfmsg.enc_exec req) ~retries k
 
-let send_exec t ~host ~retries req k =
+let send_exec t ~host ~retries ~key req k =
   (* overhead = 0 dispatches immediately — no deferred-fire closure, no
      queue traffic on the common bench/explore configuration *)
-  if t.overhead = 0 then fire_exec t ~host ~retries req k
+  if t.overhead = 0 then fire_exec t ~host ~retries ~key req k
   else begin
-    Queue.push (fun () -> fire_exec t ~host ~retries req k) t.ready;
+    Queue.push (fun () -> fire_exec t ~host ~retries ~key req k) t.ready;
     if not t.draining then begin
       t.draining <- true;
       let now = Sim.now t.sim in

@@ -47,9 +47,17 @@ val persist : t -> (string * string option) list -> (unit -> unit) -> unit
     continuations die with it, exactly like an individual persist that
     never reached its commit. *)
 
-val send_exec : t -> host:string -> retries:int -> Wfmsg.exec_req -> ((string, string) result -> unit) -> unit
+val send_exec :
+  t ->
+  host:string ->
+  retries:int ->
+  key:string ->
+  Wfmsg.exec_req ->
+  ((string, string) result -> unit) ->
+  unit
 (** Dispatch one implementation execution to a task host (emits
-    [Task_dispatched], then the at-least-once RPC). With a non-zero
+    [Task_dispatched] naming the task by its path [key], then the
+    at-least-once RPC). With a non-zero
     [overhead] the dispatch joins the engine's ready deque: enqueue is
     O(1) and a single chained drain event pops one dispatch per
     [overhead] — same timing as per-dispatch scheduling, one simulator

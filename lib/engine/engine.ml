@@ -62,10 +62,10 @@ type t = {
          iid, path, attempt) — never of runtime interleaving *)
   insts : (string, Instate.t) Hashtbl.t;
   mutable inst_rev : string list;  (* launch order, newest first (O(1) append) *)
-  compiled : (string, Schema.task) Hashtbl.t;
+  compiled : (string, Schema.task * Sched.index) Hashtbl.t;
       (* schema cache keyed by root ^ NUL ^ script: a capacity workload
          launching the same script 100k times compiles it once and all
-         instances share one schema tree *)
+         instances share one schema tree and one node table *)
   mutable seq : int;
   mutable epoch : int;
   mutable orphans : Instate.t list;
@@ -81,18 +81,34 @@ let rpc t = t.rpc
 let trace t = t.tracer
 let metrics t = t.metrics
 let registry t = t.reg
-let pkey = Wstate.path_to_string
 
 (* every engine event carries the engine's node id as its source, so
    observers can keep the streams of co-hosted engines apart *)
 let emit t ev = Sim.emit t.sim ~src:(Node.id t.node) ev
 
-(* --- schema navigation (through dynamically bound sub-workflows) --- *)
+(* --- the node table (dense ids through bound sub-workflows) --- *)
 
 let effective_body t task = Registry.effective t.reg task
-let iview t inst = Instate.view inst ~effective:(effective_body t)
-let find_task_node t inst path = Instate.find_node inst ~effective:(effective_body t) path
-let task_live t inst path = Sched.task_live (iview t inst) path
+
+let build_index ?prev t schema =
+  Sched.build_index ?prev ~gen:(Registry.generation t.reg) ~effective:(effective_body t) schema
+
+(* The instance's node table, current with the registry: a sub-workflow
+   rebind since the table was compiled rebuilds it with every id kept,
+   and the next pass is a full one (the rebind may have opened or closed
+   constituents of running scopes). *)
+let index t inst =
+  let idx = inst.Instate.index in
+  if Sched.gen idx = Registry.generation t.reg then idx
+  else begin
+    let idx = build_index ~prev:idx t inst.Instate.schema in
+    inst.Instate.index <- idx;
+    inst.Instate.pending <- Sched.All;
+    idx
+  end
+
+let key t inst id = Sched.key (index t inst) id
+let task_live t inst id = Sched.task_live (index t inst) (Instate.view inst) id
 
 (* --- spans from the policy, implementation kvs + config --- *)
 
@@ -132,16 +148,17 @@ let persist t writes k = Dispatch.persist t.disp writes k
    handler's execution itself is a one-shot dispatch after commit. *)
 let compensation_of t inst action =
   match action with
-  | Sched.Complete { a_path; a_kind = Ast.Abort_outcome; _ } -> (
-    match find_task_node t inst a_path with
+  | Sched.Complete { a_id; a_kind = Ast.Abort_outcome; _ } -> (
+    let idx = index t inst in
+    match Sched.node idx a_id with
     | Some task -> (
       match task.Schema.policy.Schema.p_compensate with
-      | Some target when not (Instate.is_compensated inst a_path) -> (
-        let tpath = Sched.parent_path a_path @ [ target ] in
-        match find_task_node t inst tpath with
+      | Some target when not (Instate.is_compensated inst a_id) -> (
+        let tid = Sched.sibling idx (Sched.parent idx a_id) target in
+        match if tid < 0 then None else Sched.node idx tid with
         | Some handler -> (
           match effective_body t handler with
-          | Sched.E_fn code -> Some (a_path, target, tpath, handler, code)
+          | Sched.E_fn code -> Some (a_id, target, tid, handler, code)
           | Sched.E_compound _ | Sched.E_missing _ -> None)
         | None -> None)
       | _ -> None)
@@ -151,33 +168,33 @@ let compensation_of t inst action =
 let compensation_writes t inst action =
   match compensation_of t inst action with
   | None -> []
-  | Some (a_path, target, _, _, _) ->
+  | Some (a_id, target, _, _, _) ->
     [
-      (Wstate.key_comp inst.Instate.iid a_path, Some "1");
+      (Wstate.key_comp inst.Instate.iid (key t inst a_id), Some "1");
       Instate.history_write inst ~now:(Sim.now t.sim) ~kind:"policy-compensate"
-        ~detail:(pkey a_path ^ " -> " ^ target);
+        ~detail:(key t inst a_id ^ " -> " ^ target);
     ]
 
 (* Post-commit side of the same decision: mark the mirror, announce,
    fire the handler. The handler runs with the aborted task's chosen
-   inputs; its report arrives for a non-Running path and is ignored
+   inputs; its report arrives for a non-Running node and is ignored
    (at-most-once execution, exactly-once durable record). *)
 let run_compensation t inst compensation =
   match compensation with
   | None -> ()
-  | Some (a_path, target, tpath, handler, code) ->
-    Instate.mark_compensated inst a_path;
-    emit t (Event.Policy_compensated { path = pkey a_path; task = target });
+  | Some (a_id, target, tid, handler, code) ->
+    Instate.mark_compensated inst a_id;
+    emit t (Event.Policy_compensated { path = key t inst a_id; task = target });
     let inputs =
-      match Instate.get_chosen inst a_path with Some c -> c.Wstate.c_inputs | None -> []
+      match Instate.get_chosen inst a_id with Some c -> c.Wstate.c_inputs | None -> []
     in
     let host =
       match Ast.impl_location handler.Schema.impl with Some n -> n | None -> node_id t
     in
-    Dispatch.send_exec t.disp ~host ~retries:t.default_policy.dp_rpc_retries
+    Dispatch.send_exec t.disp ~host ~retries:t.default_policy.dp_rpc_retries ~key:(key t inst tid)
       {
         Wfmsg.x_iid = inst.Instate.iid;
-        x_path = tpath;
+        x_path = Sched.path (index t inst) tid;
         x_attempt = 1;
         x_code = code;
         x_set = "compensate";
@@ -193,8 +210,8 @@ let apply_and_announce t inst action =
   let now = Sim.now t.sim in
   let duration =
     match action with
-    | Sched.Complete { a_path; _ } -> (
-      match Instate.get_state inst a_path with
+    | Sched.Complete { a_id; _ } -> (
+      match Instate.get_state inst a_id with
       | Some (Wstate.Running { started; _ }) -> now - started
       | _ -> 0)
     | _ -> 0
@@ -206,29 +223,24 @@ let apply_and_announce t inst action =
   run_compensation t inst compensation;
   match action with
   | Sched.Start _ | Sched.Arm_timer _ -> ()
-  | Sched.Fire_mark { a_path; a_name; _ } ->
-    emit t (Event.Task_marked { path = pkey a_path; mark = a_name })
-  | Sched.Do_repeat { a_path; a_name; a_attempt; _ } ->
-    emit t (Event.Task_repeated { path = pkey a_path; output = a_name; attempt = a_attempt })
-  | Sched.Complete { a_path; a_name; a_kind; _ } ->
+  | Sched.Fire_mark { a_id; a_name; _ } ->
+    emit t (Event.Task_marked { path = key t inst a_id; mark = a_name })
+  | Sched.Do_repeat { a_id; a_name; a_attempt; _ } ->
+    emit t (Event.Task_repeated { path = key t inst a_id; output = a_name; attempt = a_attempt })
+  | Sched.Complete { a_id; a_name; a_kind; _ } ->
     (* a compound task's "duration" is its whole subtree's span; keep it
        out of the basic-task histogram *)
-    let scope =
-      match find_task_node t inst a_path with
-      | Some task -> ( match effective_body t task with Sched.E_compound _ -> true | _ -> false)
-      | None -> false
-    in
     emit t
       (Event.Task_completed
          {
-           path = pkey a_path;
+           path = key t inst a_id;
            output = a_name;
            aborted = a_kind = Ast.Abort_outcome;
            duration;
-           scope;
+           scope = Sched.is_scope (index t inst) a_id;
          })
-  | Sched.Fail_task { a_path; a_reason } ->
-    emit t (Event.Task_failed { path = pkey a_path; reason = a_reason })
+  | Sched.Fail_task { a_id; a_reason } ->
+    emit t (Event.Task_failed { path = key t inst a_id; reason = a_reason })
 
 let action_payload t inst action =
   Instate.action_writes inst ~now:(Sim.now t.sim) ~deadline_of:(deadline_span t) action
@@ -237,34 +249,16 @@ let action_payload t inst action =
 
 (* --- the evaluation pump, dispatch, watchdog, failure handling --- *)
 
-let instance_index t inst =
-  match inst.Instate.index with
-  | Some idx -> idx
-  | None ->
-    let idx = Sched.build_index ~effective:(effective_body t) inst.Instate.schema in
-    inst.Instate.index <- Some idx;
-    idx
-
-(* the store path one effectful action mutates — what the next pass's
-   incremental scan must treat as dirty *)
-let action_path = function
-  | Sched.Start { a_path; _ }
-  | Sched.Fire_mark { a_path; _ }
-  | Sched.Do_repeat { a_path; _ }
-  | Sched.Complete { a_path; _ }
-  | Sched.Fail_task { a_path; _ }
-  | Sched.Arm_timer { a_path; _ } -> a_path
-
-(* [paths] scopes the next pass to the records just changed (push-based
-   propagation through the instance's reverse-dependency index); [None]
+(* [ids] scopes the next pass to the records just changed (push-based
+   propagation through the node table's reverse dependencies); [None]
    forces a full pass — launch, recovery, reconfiguration. In naive
-   (pre-refactor) mode every pass is a full rescan and [paths] is
+   (pre-refactor) mode every pass is a full rescan and [ids] is
    irrelevant. *)
-let rec mark_dirty ?paths t inst =
+let rec mark_dirty ?ids t inst =
   (if t.config.incremental then
-     match paths with
+     match ids with
      | None -> inst.Instate.pending <- Sched.All
-     | Some ps -> inst.Instate.pending <- Sched.add_dirty inst.Instate.pending ps);
+     | Some ds -> inst.Instate.pending <- Sched.add_dirty inst.Instate.pending ds);
   inst.Instate.dirty <- true;
   if not inst.Instate.inflight then begin
     inst.Instate.inflight <- true;
@@ -279,20 +273,21 @@ and pump t inst =
   inst.Instate.dirty <- false;
   if inst.Instate.status <> Wstate.Wf_running then inst.Instate.inflight <- false
   else begin
+    let idx = index t inst in
+    let v = Instate.view inst in
     let actions =
       if t.config.incremental then begin
         let dirty = inst.Instate.pending in
         inst.Instate.pending <- Sched.no_dirty;
-        Sched.scan_from (instance_index t inst) (iview t inst) ~root:inst.Instate.schema ~dirty
+        Sched.scan_from idx v ~dirty
       end
-      else Sched.scan (iview t inst) ~root:inst.Instate.schema
+      else Sched.scan idx v
     in
     let actions =
       List.filter
         (function
-          | Sched.Arm_timer { a_path; a_set; a_attempt; _ } ->
-            Hashtbl.find_opt inst.Instate.timers_armed (pkey a_path ^ "|" ^ a_set)
-            <> Some a_attempt
+          | Sched.Arm_timer { a_id; a_set; a_attempt; _ } ->
+            Instate.timer_armed inst a_id ~set:a_set <> Some a_attempt
           | _ -> true)
         actions
     in
@@ -312,54 +307,55 @@ and pump t inst =
           List.iter (action_side_effects t inst) effectful;
           inst.Instate.inflight <- false;
           finalize t inst;
-          mark_dirty ~paths:(List.map action_path effectful) t inst)
+          mark_dirty ~ids:(List.map Sched.action_id effectful) t inst)
     end
   end
 
 and arm_timer_action t inst = function
-  | Sched.Arm_timer { a_path; a_set; a_task; a_attempt } ->
-    let key = pkey a_path ^ "|" ^ a_set in
-    Hashtbl.replace inst.Instate.timers_armed key a_attempt;
+  | Sched.Arm_timer { a_id; a_set; a_task; a_attempt } ->
+    Instate.set_timer_armed inst a_id ~set:a_set a_attempt;
     let epoch = t.epoch in
     let fire () =
       if
         t.epoch = epoch && Node.up t.node
-        && Sched.waiting_attempt (iview t inst) a_path = Some a_attempt
+        && Sched.waiting_attempt (Instate.view inst) a_id = Some a_attempt
       then
         persist t
-          [ (Wstate.key_timer inst.Instate.iid a_path ~set:a_set, Some "1") ]
+          [ (Wstate.key_timer inst.Instate.iid (key t inst a_id) ~set:a_set, Some "1") ]
           (fun () ->
-            Hashtbl.replace inst.Instate.timers key ();
-            emit t (Event.Timer_fired { path = pkey a_path; set = a_set });
-            mark_dirty ~paths:[ a_path ] t inst)
+            Instate.set_timer_fired inst a_id ~set:a_set;
+            emit t (Event.Timer_fired { path = key t inst a_id; set = a_set });
+            mark_dirty ~ids:[ a_id ] t inst)
     in
     (* the deadline persists across crashes: recovery resumes the
        remaining wait rather than restarting the whole timeout *)
-    (match Hashtbl.find_opt inst.Instate.timer_arms key with
+    (match Instate.timer_arm inst a_id ~set:a_set with
     | Some deadline -> ignore (Sim.schedule t.sim ~delay:(max 0 (deadline - Sim.now t.sim)) fire)
     | None ->
       let deadline = Sim.now t.sim + timeout_span t a_task in
       persist t
-        [ (Wstate.key_timer_arm inst.Instate.iid a_path ~set:a_set, Some (string_of_int deadline)) ]
+        [
+          ( Wstate.key_timer_arm inst.Instate.iid (key t inst a_id) ~set:a_set,
+            Some (string_of_int deadline) );
+        ]
         (fun () ->
-          Hashtbl.replace inst.Instate.timer_arms key deadline;
+          Instate.set_timer_arm inst a_id ~set:a_set deadline;
           ignore (Sim.schedule t.sim ~delay:(max 0 (deadline - Sim.now t.sim)) fire)))
   | Sched.Start _ | Sched.Fire_mark _ | Sched.Do_repeat _ | Sched.Complete _ | Sched.Fail_task _
     -> ()
 
 and action_side_effects t inst = function
-  | Sched.Start { a_path; a_task; a_set; a_inputs; a_attempt } -> (
+  | Sched.Start { a_id; a_task; a_set; a_inputs; a_attempt } -> (
     match effective_body t a_task with
-    | Sched.E_compound _ -> emit t (Event.Scope_opened { path = pkey a_path })
+    | Sched.E_compound _ -> emit t (Event.Scope_opened { path = key t inst a_id })
     | Sched.E_fn code ->
-      emit t (Event.Task_started { path = pkey a_path; attempt = a_attempt });
-      dispatch t inst ~path:a_path ~task:a_task ~code ~set:a_set ~inputs:a_inputs
-        ~attempt:a_attempt
-    | Sched.E_missing reason -> fail_policy t inst ~path:a_path ~task:a_task ~reason)
+      emit t (Event.Task_started { path = key t inst a_id; attempt = a_attempt });
+      dispatch t inst ~id:a_id ~task:a_task ~code ~set:a_set ~inputs:a_inputs ~attempt:a_attempt
+    | Sched.E_missing reason -> fail_policy t inst ~id:a_id ~task:a_task ~reason)
   | Sched.Arm_timer _ | Sched.Fire_mark _ | Sched.Do_repeat _ | Sched.Complete _
   | Sched.Fail_task _ -> ()
 
-and dispatch t inst ~path ~task ~code ~set ~inputs ~attempt =
+and dispatch t inst ~id ~task ~code ~set ~inputs ~attempt =
   (* [code] is the registry-effective primary; a declared policy maps
      the durable attempt counter onto its ranked code list, so a
      recovered engine redispatches the same alternative it was on *)
@@ -367,26 +363,27 @@ and dispatch t inst ~path ~task ~code ~set ~inputs ~attempt =
   let code = Sched.policy_code rp ~attempt in
   let host = match Ast.impl_location task.Schema.impl with Some n -> n | None -> node_id t in
   let epoch = t.epoch in
-  Dispatch.send_exec t.disp ~host ~retries:t.default_policy.dp_rpc_retries
-    { Wfmsg.x_iid = inst.Instate.iid; x_path = path; x_attempt = attempt; x_code = code;
-      x_set = set; x_inputs = inputs }
+  let idx = index t inst in
+  Dispatch.send_exec t.disp ~host ~retries:t.default_policy.dp_rpc_retries ~key:(Sched.key idx id)
+    { Wfmsg.x_iid = inst.Instate.iid; x_path = Sched.path idx id; x_attempt = attempt;
+      x_code = code; x_set = set; x_inputs = inputs }
     (function
       | Ok reply when reply = Wfmsg.reply_ok -> ()
       | Ok _ ->
         if t.epoch = epoch then
-          fail_policy t inst ~path ~task ~reason:("host has no implementation for " ^ code)
-      | Error _ -> if t.epoch = epoch then retry_task t inst ~path ~task);
-  schedule_watchdog t inst ~path ~task ~attempt
+          fail_policy t inst ~id ~task ~reason:("host has no implementation for " ^ code)
+      | Error _ -> if t.epoch = epoch then retry_task t inst ~id ~task);
+  schedule_watchdog t inst ~id ~task ~attempt
 
-and schedule_watchdog ?delay t inst ~path ~task ~attempt =
+and schedule_watchdog ?delay t inst ~id ~task ~attempt =
   let epoch = t.epoch in
   let span = match delay with Some d -> d | None -> deadline_span t task + Sim.ms 1 in
   let check () =
-    if t.epoch = epoch && Node.up t.node && task_live t inst path then
-      match Instate.get_state inst path with
+    if t.epoch = epoch && Node.up t.node && task_live t inst id then
+      match Instate.get_state inst id with
       | Some (Wstate.Running { attempt = a; _ }) when a = attempt ->
-        emit t (Event.Watchdog_fired { path = pkey path });
-        handle_expiry t inst ~path ~task
+        emit t (Event.Watchdog_fired { path = key t inst id });
+        handle_expiry t inst ~id ~task
       | _ -> ()
   in
   ignore (Sim.schedule t.sim ~delay:span check)
@@ -394,15 +391,15 @@ and schedule_watchdog ?delay t inst ~path ~task ~attempt =
 (* The watchdog tripped: a declared [timeout ... then ...] clause decides
    what happens; without one (or without a declared policy at all) the
    legacy path retries against the attempt budget. *)
-and handle_expiry t inst ~path ~task =
+and handle_expiry t inst ~id ~task =
   let rp = rpolicy_of t task in
   match rp.Sched.rp_timeout_ms with
-  | None -> retry_task t inst ~path ~task
+  | None -> retry_task t inst ~id ~task
   | Some _ -> (
     match rp.Sched.rp_on_timeout with
-    | Ast.Ta_abort -> fail_policy t inst ~path ~task ~reason:"recovery timeout"
+    | Ast.Ta_abort -> fail_policy t inst ~id ~task ~reason:"recovery timeout"
     | Ast.Ta_alternative | Ast.Ta_substitute _ -> (
-      match Instate.get_state inst path with
+      match Instate.get_state inst id with
       | Some (Wstate.Running { attempt; set; _ }) -> (
         let target =
           match rp.Sched.rp_on_timeout with
@@ -413,56 +410,58 @@ and handle_expiry t inst ~path ~task =
         in
         match target with
         | Some target when target > attempt ->
-          jump_to_attempt t inst ~path ~task ~set ~rp ~attempt:target
+          jump_to_attempt t inst ~id ~task ~set ~rp ~attempt:target
         | Some _ ->
           (* already in the target band (e.g. the substitute itself timed
              out): a bounded retry within it, not a forward jump *)
-          retry_task t inst ~path ~task
-        | None -> fail_policy t inst ~path ~task ~reason:"recovery alternatives exhausted")
+          retry_task t inst ~id ~task
+        | None -> fail_policy t inst ~id ~task ~reason:"recovery alternatives exhausted")
       | _ -> ()))
 
 (* Timeout-driven substitution: skip the attempt counter to the first
    attempt of the target code's band. The bump is persisted like any
    retry, so the substitution itself survives a crash — recovery derives
    the active code from the counter alone. *)
-and jump_to_attempt t inst ~path ~task ~set ~rp ~attempt =
+and jump_to_attempt t inst ~id ~task ~set ~rp ~attempt =
   let now = Sim.now t.sim in
   let code = Sched.policy_code rp ~attempt in
   let running =
     Wstate.Running { attempt; set; started = now; deadline = now + deadline_span t task }
   in
   let inputs =
-    match Instate.get_chosen inst path with Some c -> c.Wstate.c_inputs | None -> []
+    match Instate.get_chosen inst id with Some c -> c.Wstate.c_inputs | None -> []
   in
+  let k = key t inst id in
   persist t
     [
-      (Wstate.key_task inst.Instate.iid path, Some (Wstate.encode_task_state running));
+      (Wstate.key_task inst.Instate.iid k, Some (Wstate.encode_task_state running));
       Instate.history_write inst ~now ~kind:"policy-substitute"
-        ~detail:(pkey path ^ " -> " ^ code ^ " (timeout)");
+        ~detail:(k ^ " -> " ^ code ^ " (timeout)");
     ]
     (fun () ->
-      Hashtbl.replace inst.Instate.states (pkey path) running;
-      emit t (Event.Task_retried { path = pkey path; attempt });
-      emit t (Event.Policy_substituted { path = pkey path; code });
+      Instate.set_state inst id running;
+      emit t (Event.Task_retried { path = k; attempt });
+      emit t (Event.Policy_substituted { path = k; code });
       match effective_body t task with
-      | Sched.E_fn primary -> dispatch t inst ~path ~task ~code:primary ~set ~inputs ~attempt
-      | Sched.E_compound _ | Sched.E_missing _ -> mark_dirty ~paths:[ path ] t inst)
+      | Sched.E_fn primary -> dispatch t inst ~id ~task ~code:primary ~set ~inputs ~attempt
+      | Sched.E_compound _ | Sched.E_missing _ -> mark_dirty ~ids:[ id ] t inst)
 
-and retry_task t inst ~path ~task =
-  if not (task_live t inst path) then ()
+and retry_task t inst ~id ~task =
+  if not (task_live t inst id) then ()
   else
-    match Instate.get_state inst path with
+    match Instate.get_state inst id with
     | Some (Wstate.Running { attempt; set; _ }) ->
       let rp = rpolicy_of t task in
       if Sched.policy_exhausted rp ~attempt then
-        fail_policy t inst ~path ~task ~reason:(Printf.sprintf "gave up after %d attempts" attempt)
+        fail_policy t inst ~id ~task ~reason:(Printf.sprintf "gave up after %d attempts" attempt)
       else begin
         let now = Sim.now t.sim in
         let next = attempt + 1 in
+        let k = key t inst id in
         let delay =
           Sim.ms
-            (Sched.policy_backoff_jittered_ms rp ~salt:t.jitter_salt
-               ~iid:inst.Instate.iid ~path ~attempt:next)
+            (Sched.policy_backoff_jittered_ms rp ~salt:t.jitter_salt ~iid:inst.Instate.iid
+               ~path:(Sched.path (index t inst) id) ~attempt:next)
         in
         let fire_at = now + delay in
         let running =
@@ -470,7 +469,7 @@ and retry_task t inst ~path ~task =
             { attempt = next; set; started = now; deadline = fire_at + deadline_span t task }
         in
         let inputs =
-          match Instate.get_chosen inst path with Some c -> c.Wstate.c_inputs | None -> []
+          match Instate.get_chosen inst id with Some c -> c.Wstate.c_inputs | None -> []
         in
         (* a failure-driven advance into the next band switches code *)
         let substituted =
@@ -478,13 +477,13 @@ and retry_task t inst ~path ~task =
           && Sched.policy_band rp ~attempt:next > Sched.policy_band rp ~attempt
         in
         let writes =
-          ((Wstate.key_task inst.Instate.iid path, Some (Wstate.encode_task_state running))
+          ((Wstate.key_task inst.Instate.iid k, Some (Wstate.encode_task_state running))
           ::
           (if delay > 0 then
              (* same transaction as the attempt bump: a crash mid-backoff
                 recovers the remaining budget and the remaining wait *)
              [
-               ( Wstate.key_backoff inst.Instate.iid path,
+               ( Wstate.key_backoff inst.Instate.iid k,
                  Some (Wstate.encode_backoff (next, fire_at)) );
              ]
            else []))
@@ -492,57 +491,52 @@ and retry_task t inst ~path ~task =
                [
                  Instate.history_write inst ~now ~kind:"policy-retry"
                    ~detail:
-                     (Printf.sprintf "%s (attempt %d, backoff %dms)" (pkey path) next
-                        (delay / Sim.ms 1));
+                     (Printf.sprintf "%s (attempt %d, backoff %dms)" k next (delay / Sim.ms 1));
                ]
              else [])
           @
           if substituted then
             [
               Instate.history_write inst ~now ~kind:"policy-substitute"
-                ~detail:(pkey path ^ " -> " ^ Sched.policy_code rp ~attempt:next ^ " (failure)");
+                ~detail:(k ^ " -> " ^ Sched.policy_code rp ~attempt:next ^ " (failure)");
             ]
           else []
         in
         persist t writes (fun () ->
-            Hashtbl.replace inst.Instate.states (pkey path) running;
-            if delay > 0 then Instate.set_backoff inst path ~attempt:next ~fire_at;
-            emit t (Event.Task_retried { path = pkey path; attempt = next });
+            Instate.set_state inst id running;
+            if delay > 0 then Instate.set_backoff inst id ~attempt:next ~fire_at;
+            emit t (Event.Task_retried { path = k; attempt = next });
             if rp.Sched.rp_declared then
-              emit t
-                (Event.Policy_retry
-                   { path = pkey path; attempt = next; delay_ms = delay / Sim.ms 1 });
+              emit t (Event.Policy_retry { path = k; attempt = next; delay_ms = delay / Sim.ms 1 });
             if substituted then
               emit t
-                (Event.Policy_substituted
-                   { path = pkey path; code = Sched.policy_code rp ~attempt:next });
+                (Event.Policy_substituted { path = k; code = Sched.policy_code rp ~attempt:next });
             match effective_body t task with
             | Sched.E_fn code ->
-              if delay = 0 then dispatch t inst ~path ~task ~code ~set ~inputs ~attempt:next
+              if delay = 0 then dispatch t inst ~id ~task ~code ~set ~inputs ~attempt:next
               else begin
                 let epoch = t.epoch in
                 ignore
                   (Sim.schedule t.sim ~delay (fun () ->
-                       if t.epoch = epoch && Node.up t.node && task_live t inst path then
-                         match Instate.get_state inst path with
+                       if t.epoch = epoch && Node.up t.node && task_live t inst id then
+                         match Instate.get_state inst id with
                          | Some (Wstate.Running { attempt = a; _ }) when a = next ->
-                           dispatch t inst ~path ~task ~code ~set ~inputs ~attempt:next
+                           dispatch t inst ~id ~task ~code ~set ~inputs ~attempt:next
                          | _ -> ()))
               end
-            | Sched.E_compound _ | Sched.E_missing _ -> mark_dirty ~paths:[ path ] t inst)
+            | Sched.E_compound _ | Sched.E_missing _ -> mark_dirty ~ids:[ id ] t inst)
       end
     | _ -> ()
 
-and fail_policy t inst ~path ~task ~reason =
-  let attempt = Sched.running_attempt (iview t inst) path in
-  let action = Sched.fail_action task ~path ~attempt ~reason in
+and fail_policy t inst ~id ~task ~reason =
+  let attempt = Sched.running_attempt (Instate.view inst) id in
+  let action = Sched.fail_action task ~id ~attempt ~reason in
   persist t (action_payload t inst action) (fun () ->
       apply_and_announce t inst action;
-      mark_dirty ~paths:[ action_path action ] t inst)
+      mark_dirty ~ids:[ id ] t inst)
 
 and finalize t inst =
   if inst.Instate.status = Wstate.Wf_running && not inst.Instate.concluding then begin
-    let rpath = [ inst.Instate.schema.Schema.name ] in
     let conclude status =
       inst.Instate.concluding <- true;
       let meta = Instate.meta inst ~status in
@@ -568,7 +562,7 @@ and finalize t inst =
           if t.config.retain_concluded then Instate.trim_concluded inst
           else Instate.release inst)
     in
-    match Instate.get_state inst rpath with
+    match Instate.get_state inst (Sched.root (index t inst)) with
     | Some (Wstate.Done { output; objects; _ }) -> conclude (Wstate.Wf_done { output; objects })
     | Some (Wstate.Failed reason) -> conclude (Wstate.Wf_failed reason)
     | None | Some (Wstate.Waiting _ | Wstate.Running _) -> ()
@@ -579,43 +573,112 @@ and finalize t inst =
 let apply_one t inst action =
   persist t (action_payload t inst action) (fun () ->
       apply_and_announce t inst action;
-      mark_dirty ~paths:[ action_path action ] t inst)
+      mark_dirty ~ids:[ Sched.action_id action ] t inst)
 
-let process_report t inst ~task ~attempt ~is_mark (r : Wfmsg.report) =
-  let path = r.Wfmsg.r_path in
+let process_report t inst ~id ~task ~attempt ~is_mark (r : Wfmsg.report) =
   match
-    Sched.report_decision (iview t inst) ~task ~path ~attempt ~is_mark ~output:r.Wfmsg.r_output
+    Sched.report_decision (Instate.view inst) ~task ~id ~attempt ~is_mark ~output:r.Wfmsg.r_output
       ~objects:r.Wfmsg.r_objects
   with
-  | Sched.D_retry -> retry_task t inst ~path ~task
+  | Sched.D_retry -> retry_task t inst ~id ~task
   | Sched.D_auto_restart ->
-    emit t (Event.Task_auto_restarted { path = pkey path });
-    retry_task t inst ~path ~task
-  | Sched.D_fail reason -> fail_policy t inst ~path ~task ~reason
+    emit t (Event.Task_auto_restarted { path = key t inst id });
+    retry_task t inst ~id ~task
+  | Sched.D_fail reason -> fail_policy t inst ~id ~task ~reason
   | Sched.D_ignore -> ()
   | Sched.D_apply (Sched.Complete { a_name; _ } as action) ->
     (* counted when the implementation's final outcome arrives, before
        the completion is made durable (historical accounting) *)
-    emit t (Event.Impl_completed { path = pkey path; output = a_name });
+    emit t (Event.Impl_completed { path = key t inst id; output = a_name });
     apply_one t inst action
   | Sched.D_apply action -> apply_one t inst action
 
+(* a wire path becomes an id once, here at the boundary *)
 let handle_report t ~is_mark ~src:_ body =
   let r = Wfmsg.dec_report body in
   (match Hashtbl.find_opt t.insts r.Wfmsg.r_iid with
   | None -> ()
   | Some inst when inst.Instate.status <> Wstate.Wf_running -> ()
-  | Some inst when not (task_live t inst r.Wfmsg.r_path) -> ()
   | Some inst -> (
-    match (Instate.get_state inst r.Wfmsg.r_path, find_task_node t inst r.Wfmsg.r_path) with
-    | Some (Wstate.Running { attempt; _ }), Some task ->
-      process_report t inst ~task ~attempt ~is_mark r
-    | _ -> ()));
+    let idx = index t inst in
+    match Sched.id_of_path idx r.Wfmsg.r_path with
+    | None -> ()
+    | Some id when not (task_live t inst id) -> ()
+    | Some id -> (
+      match (Instate.get_state inst id, Sched.node idx id) with
+      | Some (Wstate.Running { attempt; _ }), Some task ->
+        process_report t inst ~id ~task ~attempt ~is_mark r
+      | _ -> ())));
   "ack"
+
+(* --- the compile cache --- *)
+
+(* Launching the same script text repeatedly (the capacity bench does it
+   100k times) re-parses an identical source each time: cache the
+   compiled schema and its node table by (root, script). Instances never
+   mutate the shared tree or table — reconfigure swaps in freshly
+   compiled ones — so sharing is safe; a registry rebind of a
+   sub-workflow code makes the cached table stale, and the next lookup
+   recompiles it, never handing out the old one. Naive mode compiles
+   every launch, the historical cost model.
+
+   Domain-safety invariant: the cache is engine-scoped, not global, and
+   an engine (with its whole sim stack) is confined to the domain that
+   built it — parallel exploration gives each schedule's run a fresh
+   stack (DESIGN.md §13), so this table, and the per-pass scratch of
+   the node tables in it, is only ever touched from one domain and
+   needs no lock. Any future cross-domain schema sharing must either
+   keep per-domain caches or add a mutex here. *)
+let compile_cached t ~script ~root =
+  let compile () =
+    Result.map (fun schema -> (schema, build_index t schema)) (Frontend.compile script ~root)
+  in
+  if not t.config.incremental then compile ()
+  else begin
+    let key = root ^ "\x00" ^ script in
+    match Hashtbl.find_opt t.compiled key with
+    | Some ((_, idx) as entry) when Sched.gen idx = Registry.generation t.reg -> Ok entry
+    | Some (schema, _) ->
+      let entry = (schema, build_index t schema) in
+      Hashtbl.replace t.compiled key entry;
+      Ok entry
+    | None ->
+      Result.map
+        (fun entry ->
+          Hashtbl.replace t.compiled key entry;
+          entry)
+        (compile ())
+  end
 
 (* --- recovery --- *)
 
-let rebuild_instance t iid =
+(* One pass over the committed keys: each listed instance's keys, under
+   the [wf:<iid>:] prefix rule [Instate.load_committed] applies. An iid
+   may itself contain ':', so every ':' after the [wf:] prefix is tried
+   as the end of the iid. *)
+let keys_by_instance iids keys =
+  let groups = Hashtbl.create (List.length iids) in
+  List.iter (fun iid -> Hashtbl.replace groups iid []) iids;
+  List.iter
+    (fun key ->
+      if String.starts_with ~prefix:"wf:" key then begin
+        let rec next_colon i =
+          match String.index_from_opt key i ':' with
+          | None -> ()
+          | Some j ->
+            let iid = String.sub key 3 (j - 3) in
+            (match Hashtbl.find_opt groups iid with
+            | Some ks -> Hashtbl.replace groups iid (key :: ks)
+            | None -> ());
+            next_colon (j + 1)
+        in
+        next_colon 3
+      end)
+    keys;
+  groups
+
+(* [keys] holds the instance's committed keys *)
+let rebuild_instance t iid ~keys =
   let read key = Dispatch.committed_value t.disp ~key in
   match read (Wstate.key_meta iid) with
   | None -> ()
@@ -624,51 +687,48 @@ let rebuild_instance t iid =
     let script_text =
       match read (Wstate.key_reconf iid) with Some s -> s | None -> meta.Wstate.m_script
     in
-    match Frontend.load script_text with
+    match compile_cached t ~script:script_text ~root:meta.Wstate.m_root with
+    | Error { Frontend.stage = "resolve"; msg; _ } ->
+      emit t (Event.Recovery_error { detail = Printf.sprintf "%s: %s" iid msg })
     | Error _ -> emit t (Event.Recovery_error { detail = iid ^ ": stored script no longer parses" })
-    | Ok ast -> (
-      match Schema.of_script ast ~root:meta.Wstate.m_root with
-      | Error msg -> emit t (Event.Recovery_error { detail = Printf.sprintf "%s: %s" iid msg })
-      | Ok schema ->
-        let inst =
-          Instate.create ~iid ~script_text ~schema ~status:meta.Wstate.m_status
-            ~external_inputs:meta.Wstate.m_inputs
-        in
-        Instate.load_committed inst ~read ~keys:(Dispatch.committed_keys t.disp);
-        Hashtbl.replace t.insts iid inst;
-        (* honour persisted deadlines: executions orphaned by the crash
-           are re-dispatched as soon as they expire *)
-        List.iter
-          (fun (path, task, attempt, deadline) ->
-            let remaining = max 0 (deadline - Sim.now t.sim) + Sim.ms 1 in
-            schedule_watchdog ~delay:remaining t inst ~path ~task ~attempt)
-          (Instate.running_leaves inst ~effective:(effective_body t));
-        (* pending policy backoffs: resume the remaining wait against the
-           persisted attempt counter, then redispatch that same attempt —
-           the budget carries over, it is never reset *)
-        List.iter
-          (fun (path, attempt, fire_at) ->
-            match (find_task_node t inst path, Instate.get_state inst path) with
-            | Some task, Some (Wstate.Running { attempt = a; set; _ }) when a = attempt -> (
-              match effective_body t task with
-              | Sched.E_fn code ->
-                let inputs =
-                  match Instate.get_chosen inst path with
-                  | Some c -> c.Wstate.c_inputs
-                  | None -> []
-                in
-                let epoch = t.epoch in
-                ignore
-                  (Sim.schedule t.sim ~delay:(max 0 (fire_at - Sim.now t.sim)) (fun () ->
-                       if t.epoch = epoch && Node.up t.node && task_live t inst path then
-                         match Instate.get_state inst path with
-                         | Some (Wstate.Running { attempt = a2; _ }) when a2 = attempt ->
-                           dispatch t inst ~path ~task ~code ~set ~inputs ~attempt
-                         | _ -> ()))
-              | Sched.E_compound _ | Sched.E_missing _ -> ())
-            | _ -> ())
-          (Instate.pending_backoffs inst);
-        if inst.Instate.status = Wstate.Wf_running then mark_dirty t inst))
+    | Ok (schema, index) ->
+      let inst =
+        Instate.create ~iid ~script_text ~schema ~index ~status:meta.Wstate.m_status
+          ~external_inputs:meta.Wstate.m_inputs
+      in
+      Instate.load_committed inst ~read ~keys;
+      Hashtbl.replace t.insts iid inst;
+      (* honour persisted deadlines: executions orphaned by the crash
+         are re-dispatched as soon as they expire *)
+      List.iter
+        (fun (id, task, attempt, deadline) ->
+          let remaining = max 0 (deadline - Sim.now t.sim) + Sim.ms 1 in
+          schedule_watchdog ~delay:remaining t inst ~id ~task ~attempt)
+        (Instate.running_leaves inst ~effective:(effective_body t));
+      (* pending policy backoffs: resume the remaining wait against the
+         persisted attempt counter, then redispatch that same attempt —
+         the budget carries over, it is never reset *)
+      List.iter
+        (fun (id, attempt, fire_at) ->
+          match (Sched.node inst.Instate.index id, Instate.get_state inst id) with
+          | Some task, Some (Wstate.Running { attempt = a; set; _ }) when a = attempt -> (
+            match effective_body t task with
+            | Sched.E_fn code ->
+              let inputs =
+                match Instate.get_chosen inst id with Some c -> c.Wstate.c_inputs | None -> []
+              in
+              let epoch = t.epoch in
+              ignore
+                (Sim.schedule t.sim ~delay:(max 0 (fire_at - Sim.now t.sim)) (fun () ->
+                     if t.epoch = epoch && Node.up t.node && task_live t inst id then
+                       match Instate.get_state inst id with
+                       | Some (Wstate.Running { attempt = a2; _ }) when a2 = attempt ->
+                         dispatch t inst ~id ~task ~code ~set ~inputs ~attempt
+                       | _ -> ()))
+            | Sched.E_compound _ | Sched.E_missing _ -> ())
+          | _ -> ())
+        (Instate.pending_backoffs inst);
+      if inst.Instate.status = Wstate.Wf_running then mark_dirty t inst)
 
 let dir_iid_of_key key =
   String.sub key (String.length Wstate.dir_prefix) (String.length key - String.length Wstate.dir_prefix)
@@ -677,18 +737,26 @@ let dir_iid_of_key key =
    instance to the store after [recover] already scanned it: reconcile
    whenever such a commit lands. Incremental mode reconciles exactly the
    iids named by the commit's directory rows — O(writes), where the
-   legacy roster list forces an O(instances) decode per commit. *)
-let reconcile_one t iid =
-  if not (Hashtbl.mem t.insts iid) then begin
-    rebuild_instance t iid;
-    if Hashtbl.mem t.insts iid && not (List.mem iid t.inst_rev) then
-      t.inst_rev <- iid :: t.inst_rev
-  end
+   legacy roster list forces an O(instances) decode per commit. The
+   store's keys are read once per reconciled batch. *)
+let reconcile t iids =
+  match List.filter (fun iid -> not (Hashtbl.mem t.insts iid)) iids with
+  | [] -> ()
+  | missing ->
+    let groups = keys_by_instance missing (Dispatch.committed_keys t.disp) in
+    List.iter
+      (fun iid ->
+        if not (Hashtbl.mem t.insts iid) then begin
+          rebuild_instance t iid ~keys:(Hashtbl.find groups iid);
+          if Hashtbl.mem t.insts iid && not (List.mem iid t.inst_rev) then
+            t.inst_rev <- iid :: t.inst_rev
+        end)
+      missing
 
 let reconcile_roster t =
   match Dispatch.committed_value t.disp ~key:Wstate.key_insts with
   | None -> ()
-  | Some raw -> List.iter (reconcile_one t) (Wstate.decode_insts raw)
+  | Some raw -> reconcile t (Wstate.decode_insts raw)
 
 (* Re-persist an instance whose launch transaction was lost to a crash
    before its decision. A committed-but-unapplied launch is instead
@@ -731,32 +799,36 @@ let relaunch_orphan t (orphan : Instate.t) =
   in
   ignore (Sim.schedule t.sim ~delay:retry_delay attempt)
 
+(* Rebuild every instance from the committed store. The keys are read
+   once and grouped by instance, so recovery is linear in the store, not
+   O(instances x store). *)
 let recover t () =
   t.epoch <- t.epoch + 1;
   Hashtbl.reset t.insts;
-  (if t.config.incremental then begin
-     (* per-instance directory rows carry the launch sequence number so
-        the replay order matches the original launch order *)
-     let entries =
-       List.filter_map
-         (fun key ->
-           if String.starts_with ~prefix:Wstate.dir_prefix key then
-             Option.bind (Dispatch.committed_value t.disp ~key) (fun raw ->
-                 Option.map (fun seq -> (seq, dir_iid_of_key key)) (Wstate.decode_dir_seq raw))
-           else None)
-         (Dispatch.committed_keys t.disp)
-     in
-     let ordered = List.map snd (List.sort compare entries) in
-     t.inst_rev <- List.rev ordered;
-     List.iter (rebuild_instance t) ordered
-   end
-   else
-     match Dispatch.committed_value t.disp ~key:Wstate.key_insts with
-     | None -> t.inst_rev <- []
-     | Some raw ->
-       let iids = Wstate.decode_insts raw in
-       t.inst_rev <- List.rev iids;
-       List.iter (rebuild_instance t) iids);
+  let keys = Dispatch.committed_keys t.disp in
+  let iids =
+    if t.config.incremental then begin
+      (* per-instance directory rows carry the launch sequence number so
+         the replay order matches the original launch order *)
+      let entries =
+        List.filter_map
+          (fun key ->
+            if String.starts_with ~prefix:Wstate.dir_prefix key then
+              Option.bind (Dispatch.committed_value t.disp ~key) (fun raw ->
+                  Option.map (fun seq -> (seq, dir_iid_of_key key)) (Wstate.decode_dir_seq raw))
+            else None)
+          keys
+      in
+      List.map snd (List.sort compare entries)
+    end
+    else
+      match Dispatch.committed_value t.disp ~key:Wstate.key_insts with
+      | None -> []
+      | Some raw -> Wstate.decode_insts raw
+  in
+  t.inst_rev <- List.rev iids;
+  let groups = keys_by_instance iids keys in
+  List.iter (fun iid -> rebuild_instance t iid ~keys:(Hashtbl.find groups iid)) iids;
   t.orphans <- List.filter (fun (o : Instate.t) -> not (Hashtbl.mem t.insts o.Instate.iid)) t.orphans;
   List.iter (relaunch_orphan t) t.orphans;
   emit t (Event.Recovery_replayed { instances = List.length t.inst_rev })
@@ -844,53 +916,25 @@ let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg
         ignore
           (Sim.schedule sim ~delay:0 (fun () ->
                if t.epoch = epoch && Node.up node then
-                 if config.incremental then List.iter (reconcile_one t) dir_iids
-                 else reconcile_roster t))
+                 if config.incremental then reconcile t dir_iids else reconcile_roster t))
       end);
   ignore (attach_host_on t node);
   t
 
 let attach_host t node = attach_host_on t node
 
-(* Launching the same script text repeatedly (the capacity bench does it
-   100k times) re-parses an identical source each time: cache the
-   compiled schema by (root, script). Instances never mutate the shared
-   tree — reconfigure swaps in a freshly compiled one — so sharing is
-   safe. Naive mode compiles every launch, the historical cost model.
-
-   Domain-safety invariant: the cache is engine-scoped, not global, and
-   an engine (with its whole sim stack) is confined to the domain that
-   built it — parallel exploration gives each schedule's run a fresh
-   stack (DESIGN.md §13), so this table is only ever touched from one
-   domain and needs no lock. Any future cross-domain schema sharing must
-   either keep per-domain caches or add a mutex here. *)
-let compile_cached t ~script ~root =
-  if not t.config.incremental then
-    Result.map_error Frontend.error_to_string (Frontend.compile script ~root)
-  else begin
-    let key = root ^ "\x00" ^ script in
-    match Hashtbl.find_opt t.compiled key with
-    | Some schema -> Ok schema
-    | None -> (
-      match Frontend.compile script ~root with
-      | Error e -> Error (Frontend.error_to_string e)
-      | Ok schema ->
-        Hashtbl.replace t.compiled key schema;
-        Ok schema)
-  end
-
 let launch ?iid t ~script ~root ~inputs =
   match compile_cached t ~script ~root with
-  | Error e -> Error e
+  | Error e -> Error (Frontend.error_to_string e)
   | Ok _ when (match iid with Some i -> Hashtbl.mem t.insts i | None -> false) ->
     Error ("duplicate instance id " ^ Option.get iid)
-  | Ok schema ->
+  | Ok (schema, index) ->
     t.seq <- t.seq + 1;
     let iid =
       match iid with Some i -> i | None -> Printf.sprintf "wf-%d-%d" t.epoch t.seq
     in
     let inst =
-      Instate.create ~iid ~script_text:script ~schema ~status:Wstate.Wf_running
+      Instate.create ~iid ~script_text:script ~schema ~index ~status:Wstate.Wf_running
         ~external_inputs:inputs
     in
     let meta = Instate.meta inst ~status:Wstate.Wf_running in
@@ -930,14 +974,19 @@ let instances t = List.rev t.inst_rev
 let task_state t iid ~path =
   match Hashtbl.find_opt t.insts iid with
   | None -> None
-  | Some inst -> Instate.get_state inst path
+  | Some inst -> Option.bind (Sched.id_of_path (index t inst) path) (Instate.get_state inst)
 
 let task_states t iid =
   match Hashtbl.find_opt t.insts iid with
   | None -> []
   | Some inst ->
-    let all = Hashtbl.fold (fun k v acc -> (k, v) :: acc) inst.Instate.states [] in
-    List.sort (fun (a, _) (b, _) -> String.compare a b) all
+    let idx = index t inst in
+    let all = ref [] in
+    Array.iteri
+      (fun id state ->
+        match state with Some s -> all := (Sched.key idx id, s) :: !all | None -> ())
+      inst.Instate.states;
+    List.sort (fun (a, _) (b, _) -> String.compare a b) !all
 
 type policy_budget = {
   pb_path : string;
@@ -951,35 +1000,44 @@ let policy_budgets t iid =
   | None -> []
   | Some inst ->
     let now = Sim.now t.sim in
-    (* union of every path the policy machinery has touched: task states
-       (attempt counters), pending backoffs, recorded compensations *)
-    let paths = Hashtbl.create 16 in
-    Hashtbl.iter (fun k _ -> Hashtbl.replace paths k ()) inst.Instate.states;
-    Hashtbl.iter (fun k _ -> Hashtbl.replace paths k ()) inst.Instate.backoffs;
-    Hashtbl.iter (fun k _ -> Hashtbl.replace paths k ()) inst.Instate.compensated;
-    Hashtbl.fold
-      (fun key () acc ->
+    let idx = index t inst in
+    (* every node the policy machinery has touched: task states (attempt
+       counters), pending backoffs, recorded compensations *)
+    let budgets = ref [] in
+    for id = Sched.size idx - 1 downto 0 do
+      let state = Instate.get_state inst id and backoff = Instate.get_backoff inst id in
+      let compensated = Instate.is_compensated inst id in
+      if state <> None || backoff <> None || compensated then begin
         let attempts =
-          match Hashtbl.find_opt inst.Instate.states key with
+          match state with
           | Some (Wstate.Waiting { attempt })
           | Some (Wstate.Running { attempt; _ })
           | Some (Wstate.Done { attempt; _ }) ->
             attempt
-          | Some _ | None -> 0
+          | Some (Wstate.Failed _) | None -> 0
         in
         let backoff_remaining =
-          match Hashtbl.find_opt inst.Instate.backoffs key with
-          | Some (_, fire_at) -> max 0 (fire_at - now)
-          | None -> 0
+          match backoff with Some (_, fire_at) -> max 0 (fire_at - now) | None -> 0
         in
-        { pb_path = key; pb_attempts = attempts; pb_backoff_remaining = backoff_remaining;
-          pb_compensated = Hashtbl.mem inst.Instate.compensated key }
-        :: acc)
-      paths []
-    |> List.sort (fun a b -> String.compare a.pb_path b.pb_path)
+        budgets :=
+          {
+            pb_path = Sched.key idx id;
+            pb_attempts = attempts;
+            pb_backoff_remaining = backoff_remaining;
+            pb_compensated = compensated;
+          }
+          :: !budgets
+      end
+    done;
+    List.sort (fun a b -> String.compare a.pb_path b.pb_path) !budgets
 
 let marks_of t iid ~path =
-  match Hashtbl.find_opt t.insts iid with None -> [] | Some inst -> Instate.get_marks inst path
+  match Hashtbl.find_opt t.insts iid with
+  | None -> []
+  | Some inst -> (
+    match Sched.id_of_path (index t inst) path with
+    | Some id -> Instate.get_marks inst id
+    | None -> [])
 
 let history t iid = Dispatch.committed_history t.disp ~iid
 
@@ -1013,13 +1071,18 @@ let abort_task t iid ~path k =
   match Hashtbl.find_opt t.insts iid with
   | None -> k (Error ("no such instance " ^ iid))
   | Some inst -> (
-    match (Instate.get_state inst path, find_task_node t inst path) with
-    | (None | Some (Wstate.Waiting _ | Wstate.Running _)), Some task ->
-      emit t (Event.User_aborted { path = pkey path });
-      fail_policy t inst ~path ~task ~reason:"aborted by user";
-      k (Ok ())
-    | Some (Wstate.Done _ | Wstate.Failed _), _ -> k (Error (pkey path ^ " already finished"))
-    | _, None -> k (Error ("no task at path " ^ pkey path)))
+    let idx = index t inst in
+    let pkey = Wstate.path_to_string path in
+    match Sched.id_of_path idx path with
+    | None -> k (Error ("no task at path " ^ pkey))
+    | Some id -> (
+      match (Instate.get_state inst id, Sched.node idx id) with
+      | (None | Some (Wstate.Waiting _ | Wstate.Running _)), Some task ->
+        emit t (Event.User_aborted { path = pkey });
+        fail_policy t inst ~id ~task ~reason:"aborted by user";
+        k (Ok ())
+      | Some (Wstate.Done _ | Wstate.Failed _), _ -> k (Error (pkey ^ " already finished"))
+      | _, None -> k (Error ("no task at path " ^ pkey))))
 
 let compact t = Dispatch.compact t.disp
 
@@ -1060,9 +1123,10 @@ let reconfigure t iid ~transform k =
         (fun () ->
           inst.Instate.script_text <- text;
           inst.Instate.schema <- schema;
-          (* the reverse-dependency index was built against the old
-             tree; drop it so the next pump rebuilds from the new one *)
-          inst.Instate.index <- None;
+          (* recompile the node table against the new tree: surviving
+             paths keep their ids, so the mirrors and every id captured
+             by a pending timer or callback stay valid *)
+          inst.Instate.index <- build_index ~prev:inst.Instate.index t schema;
           emit t (Event.Wf_reconfigured { iid });
           mark_dirty t inst;
           k (Ok ())))

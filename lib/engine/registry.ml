@@ -22,15 +22,31 @@ type impl =
   | Fn of fn
   | Sub_workflow of Schema.task
 
-type t = { bindings : (string, impl) Hashtbl.t }
+type t = { bindings : (string, impl) Hashtbl.t; mutable generation : int }
 
-let create () = { bindings = Hashtbl.create 32 }
+let create () = { bindings = Hashtbl.create 32; generation = 0 }
 
-let bind t ~code fn = Hashtbl.replace t.bindings code (Fn fn)
+(* Only sub-workflow bindings shape the expanded tree (leaf codes are
+   resolved at dispatch), so only a change touching one invalidates the
+   node tables compiled against this registry. *)
+let touch t ~code =
+  match Hashtbl.find_opt t.bindings code with
+  | Some (Sub_workflow _) -> t.generation <- t.generation + 1
+  | Some (Fn _) | None -> ()
 
-let bind_script t ~code schema = Hashtbl.replace t.bindings code (Sub_workflow schema)
+let bind t ~code fn =
+  touch t ~code;
+  Hashtbl.replace t.bindings code (Fn fn)
 
-let unbind t ~code = Hashtbl.remove t.bindings code
+let bind_script t ~code schema =
+  t.generation <- t.generation + 1;
+  Hashtbl.replace t.bindings code (Sub_workflow schema)
+
+let unbind t ~code =
+  touch t ~code;
+  Hashtbl.remove t.bindings code
+
+let generation t = t.generation
 
 let find t ~code = Hashtbl.find_opt t.bindings code
 

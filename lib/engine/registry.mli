@@ -54,6 +54,11 @@ val unbind : t -> code:string -> unit
 
 val find : t -> code:string -> impl option
 
+val generation : t -> int
+(** Bumped by every change to a sub-workflow binding — the only
+    bindings that shape an expanded schema. A node table compiled at an
+    older generation is stale (see {!Sched.build_index}). *)
+
 val names : t -> string list
 (** Sorted. *)
 

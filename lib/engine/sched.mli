@@ -17,113 +17,171 @@
     property-testable. *)
 
 (** What a task's implementation binding resolves to. Resolution
-    consults the registry, so it is injected via {!view.v_effective}. *)
+    consults the registry, so it is injected into {!build_index}. *)
 type effective =
   | E_fn of string  (** a leaf implementation, dispatched by code name *)
   | E_compound of { children : Schema.task list; bindings : Schema.binding list; alias : string }
   | E_missing of string  (** no usable binding; the reason *)
 
-(** Read-only view of one instance. [None]/[[]] answers mean "no record
-    yet" (implicitly Waiting, attempt 1). *)
+(** {1 Dense node ids}
+
+    An expanded schema (registry-bound sub-workflows included) compiled
+    once into integer node ids: per node its schema task, path, path
+    key, parent, constituents and subtree range, per scope a name → id
+    table, plus the reverse-dependency index. Everything inside the
+    engine addresses nodes by id; path strings appear only at the
+    boundaries (durable keys, wire messages, events, the public API),
+    read from the table, never re-joined.
+
+    A fresh table numbers nodes in preorder, so ascending ids are
+    declaration order. A table rebuilt with [~prev] (reconfiguration, a
+    registry rebind) keeps every surviving path's id, appends new
+    paths, and keeps vanished ones as {e retired} ids — an id, once
+    handed out, denotes the same path in every table rebuilt from it,
+    so ids captured by timers and callbacks stay valid across a rebuild.
+    The new tree's declaration order is then carried by ranks. *)
+
+type index
+(** One compiled table. It is immutable apart from per-pass scratch, so
+    the instances of one compiled schema share it; it belongs to one
+    engine (and so to one domain). *)
+
+val build_index :
+  ?prev:index -> gen:int -> effective:(Schema.task -> effective) -> Schema.task -> index
+(** Compile a root task through [effective]. [gen] is the registry generation
+    the resolution was made against (see {!gen}). With [prev], ids are
+    kept as described above. *)
+
+val extend : index -> string list -> index
+(** A copy with a retired id for every path key not in the table
+    (store records of paths the current script no longer has); the
+    table itself when all are known. *)
+
+val gen : index -> int
+
+val size : index -> int
+(** Number of ids, retired ones included: mirrors indexed by id need
+    this many slots. *)
+
+val root : index -> int
+
+val path : index -> int -> Wstate.path
+
+val key : index -> int -> string
+(** The ["/"]-joined path: the form of store keys and event payloads. *)
+
+val parent : index -> int -> int
+(** [-1] at the root. *)
+
+val node : index -> int -> Schema.task option
+(** The schema node of a live id; [None] for a retired one. *)
+
+val is_scope : index -> int -> bool
+(** A live compound scope (inline or a bound sub-workflow). *)
+
+val iter_below : index -> int -> (int -> unit) -> unit
+(** Every id strictly below a node, in rank order (a contiguous range of
+    the live tree), then retired ids under it — a compound repeat wipes
+    exactly these. *)
+
+val sibling : index -> int -> string -> int
+(** [sibling idx scope name] — the id of constituent [name] of [scope]
+    ([-1] for none; scope [-1] is the root's pseudo-scope). *)
+
+val id_of_path : index -> Wstate.path -> int option
+(** Resolve a wire or API path; retired paths included. *)
+
+val id_of_key : index -> string -> int option
+(** Resolve a ["/"]-joined path key (as stored in the store). *)
+
+(** Read-only view of one instance, by node id. [None]/[[]] answers
+    mean "no record yet" (implicitly Waiting, attempt 1). *)
 type view = {
-  v_effective : Schema.task -> effective;
-  v_state : Wstate.path -> Wstate.task_state option;
-  v_chosen : Wstate.path -> Wstate.chosen option;
-  v_marks : Wstate.path -> (string * (string * Value.obj) list) list;
-  v_repeat : Wstate.path -> (string * (string * Value.obj) list) option;
-  v_timer_fired : Wstate.path -> set:string -> bool;
+  v_state : int -> Wstate.task_state option;
+  v_chosen : int -> Wstate.chosen option;
+  v_marks : int -> (string * (string * Value.obj) list) list;
+  v_repeat : int -> (string * (string * Value.obj) list) option;
+  v_timer_fired : int -> set:string -> bool;
   v_external : string -> Value.obj option;  (** root-level external inputs *)
   v_running : bool;  (** instance status is [Wf_running] *)
 }
 
-val waiting_attempt : view -> Wstate.path -> int option
+val waiting_attempt : view -> int -> int option
 (** The attempt a waiting task would start as; [None] if not waiting. *)
 
-val running_attempt : view -> Wstate.path -> int
+val running_attempt : view -> int -> int
 
-val parent_path : Wstate.path -> Wstate.path
-(** All but the last path segment. *)
-
-val scope_open : view -> Wstate.path -> bool
+val scope_open : index -> view -> int -> bool
 (** Every enclosing compound scope is still Running. *)
 
-val task_live : view -> Wstate.path -> bool
+val task_live : index -> view -> int -> bool
 (** {!scope_open} and the instance itself is running — the fence every
     watchdog, retry and late report must pass. *)
 
-val find_node :
-  effective:(Schema.task -> effective) -> Schema.task -> string list -> Schema.task option
-(** Navigate a schema along a path of task names, expanding dynamically
-    bound sub-workflows. The first path element is a child of [task]. *)
-
 (** {1 Decisions} *)
 
-(** One scheduling decision. [Arm_timer] is volatile (the effect layer
-    schedules the timeout); the rest are persisted atomically. *)
+(** One scheduling decision, addressing its node by id. [Arm_timer] is
+    volatile (the effect layer schedules the timeout); the rest are
+    persisted atomically. *)
 type action =
   | Start of {
-      a_path : Wstate.path;
+      a_id : int;
       a_task : Schema.task;
       a_set : string;
       a_inputs : (string * Value.obj) list;
       a_attempt : int;
     }
-  | Fire_mark of { a_path : Wstate.path; a_name : string; a_objects : (string * Value.obj) list }
+  | Fire_mark of { a_id : int; a_name : string; a_objects : (string * Value.obj) list }
   | Do_repeat of {
-      a_path : Wstate.path;
+      a_id : int;
       a_name : string;
       a_objects : (string * Value.obj) list;
       a_attempt : int;
     }
   | Complete of {
-      a_path : Wstate.path;
+      a_id : int;
       a_name : string;
       a_kind : Ast.output_kind;
       a_objects : (string * Value.obj) list;
       a_attempt : int;
     }
-  | Fail_task of { a_path : Wstate.path; a_reason : string }
-  | Arm_timer of { a_path : Wstate.path; a_set : string; a_task : Schema.task; a_attempt : int }
+  | Fail_task of { a_id : int; a_reason : string }
+  | Arm_timer of { a_id : int; a_set : string; a_task : Schema.task; a_attempt : int }
 
-val scan : view -> root:Schema.task -> action list
-(** One full evaluation pass over the instance tree; actions come back
-    in declaration order. Pure: same view, same actions. *)
+val action_id : action -> int
+(** The node an action mutates — what the next incremental pass must
+    treat as dirty. *)
+
+val scan : index -> view -> action list
+(** One full evaluation pass: a recursive walk of the live tree. Actions
+    come back in declaration order. Pure: same view, same actions. This
+    is the reference oracle for {!scan_from}. *)
 
 (** {1 Incremental propagation}
 
-    Push-based scheduling: instead of rescanning the whole instance on
-    every notification, a {!index} built once per instance records which
-    paths' readiness each store path can affect, and {!scan_from}
-    evaluates only the dependents of the paths that actually changed.
-    The pruned pass emits exactly the actions the full {!scan} would —
-    a non-candidate's inputs are unchanged since the previous pass, so
-    its readiness cannot have changed either. *)
-
-type index
-(** Reverse-dependency index over one (expanded) schema: producer path
-    → the paths whose input sets or output bindings read it, plus each
-    compound scope → its constituents (a scope start, repeat or chosen
-    change re-evaluates every child). Rebuild after reconfiguration. *)
-
-val build_index : effective:(Schema.task -> effective) -> Schema.task -> index
+    Push-based scheduling: a pass evaluates only the ids whose records
+    changed since the previous pass and their reverse dependencies —
+    an int worklist over the table, visited in ascending rank, so its
+    cost follows the change, not the width of the scopes. The pruned
+    pass emits exactly the actions the full {!scan} would: a
+    non-candidate's inputs are unchanged since the previous pass, so its
+    readiness cannot have changed either. *)
 
 (** The accumulated change set between two evaluation passes. *)
-type dirty = All | Paths of Wstate.path list
+type dirty = All | Ids of int list
 
 val no_dirty : dirty
 
-val add_dirty : dirty -> Wstate.path list -> dirty
-(** [All] absorbs everything; path lists concatenate (deduplicated at
+val add_dirty : dirty -> int list -> dirty
+(** [All] absorbs everything; id lists concatenate (deduplicated at
     scan time). *)
 
-val is_clean : dirty -> bool
-
-val scan_from : index -> view -> root:Schema.task -> dirty:dirty -> action list
-(** The incremental pass: evaluate only the dirty paths and their
-    indexed dependents. [scan_from idx v ~root ~dirty:All] is exactly
-    [scan v ~root]; with [dirty:(Paths ps)] it returns the same actions
-    the full scan would, provided every store change since the previous
-    pass is covered by [ps]. *)
+val scan_from : index -> view -> dirty:dirty -> action list
+(** The incremental pass: [scan_from idx v ~dirty:All] is exactly
+    [scan idx v]; with [dirty:(Ids ds)] it returns the same actions the
+    full scan would, provided every record change since the previous
+    pass is covered by [ds]. Reuses the table's scratch: no allocation
+    beyond the actions and a few cells per pass. *)
 
 val prioritise : action list -> action list
 (** Reorder a pass's actions for dispatch: non-starts first in scan
@@ -208,7 +266,7 @@ val policy_substitute_start : rpolicy -> int option
 (** First attempt of the trailing substitute band, when the policy
     declares [timeout ... then substitute]. *)
 
-val fail_action : Schema.task -> path:Wstate.path -> attempt:int -> reason:string -> action
+val fail_action : Schema.task -> id:int -> attempt:int -> reason:string -> action
 (** Fig 3's system-failure rule: an abort outcome when the taskclass
     declares one, [Fail_task] otherwise. *)
 
@@ -228,7 +286,7 @@ type decision =
 val report_decision :
   view ->
   task:Schema.task ->
-  path:Wstate.path ->
+  id:int ->
   attempt:int ->
   is_mark:bool ->
   output:string ->

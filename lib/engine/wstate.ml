@@ -45,22 +45,21 @@ let key_meta iid = Printf.sprintf "wf:%s:meta" iid
 
 let key_reconf iid = Printf.sprintf "wf:%s:reconf" iid
 
-let key_task iid path = Printf.sprintf "wf:%s:t:%s" iid (path_to_string path)
+let key_task iid pkey = Printf.sprintf "wf:%s:t:%s" iid pkey
 
-let key_chosen iid path = Printf.sprintf "wf:%s:c:%s" iid (path_to_string path)
+let key_chosen iid pkey = Printf.sprintf "wf:%s:c:%s" iid pkey
 
-let key_marks iid path = Printf.sprintf "wf:%s:m:%s" iid (path_to_string path)
+let key_marks iid pkey = Printf.sprintf "wf:%s:m:%s" iid pkey
 
-let key_repeat iid path = Printf.sprintf "wf:%s:r:%s" iid (path_to_string path)
+let key_repeat iid pkey = Printf.sprintf "wf:%s:r:%s" iid pkey
 
-let key_timer iid path ~set = Printf.sprintf "wf:%s:timer:%s:%s" iid (path_to_string path) set
+let key_timer iid pkey ~set = Printf.sprintf "wf:%s:timer:%s:%s" iid pkey set
 
-let key_timer_arm iid path ~set =
-  Printf.sprintf "wf:%s:timerarm:%s:%s" iid (path_to_string path) set
+let key_timer_arm iid pkey ~set = Printf.sprintf "wf:%s:timerarm:%s:%s" iid pkey set
 
-let key_backoff iid path = Printf.sprintf "wf:%s:b:%s" iid (path_to_string path)
+let key_backoff iid pkey = Printf.sprintf "wf:%s:b:%s" iid pkey
 
-let key_comp iid path = Printf.sprintf "wf:%s:comp:%s" iid (path_to_string path)
+let key_comp iid pkey = Printf.sprintf "wf:%s:comp:%s" iid pkey
 
 let key_history iid n = Printf.sprintf "wf:%s:h:%09d" iid n
 

@@ -17,7 +17,9 @@
     - [wf:I:b:P] — pending recovery-policy backoff of the task at [P]
     - [wf:I:comp:P] — the abort of [P] has been compensated (one-shot)
 
-    A path [P] is the [/]-joined chain of task names from the root. *)
+    A path [P] is the [/]-joined chain of task names from the root (the
+    path key): the key builders below take it as a string, computed once
+    per node in the {!Sched} node table. *)
 
 type path = string list
 
@@ -47,6 +49,8 @@ type meta = {
 }
 
 val path_to_string : path -> string
+(** The path key of a path — for paths arriving from outside (wire,
+    API); nodes of a compiled table carry theirs precomputed. *)
 
 val key_insts : string
 (** Legacy whole-list instance directory (naive mode re-encodes the full
@@ -67,25 +71,25 @@ val key_meta : string -> string
 
 val key_reconf : string -> string
 
-val key_task : string -> path -> string
+val key_task : string -> string -> string
 
-val key_chosen : string -> path -> string
+val key_chosen : string -> string -> string
 
-val key_marks : string -> path -> string
+val key_marks : string -> string -> string
 
-val key_repeat : string -> path -> string
+val key_repeat : string -> string -> string
 
-val key_timer : string -> path -> set:string -> string
+val key_timer : string -> string -> set:string -> string
 
-val key_timer_arm : string -> path -> set:string -> string
+val key_timer_arm : string -> string -> set:string -> string
 
-val key_backoff : string -> path -> string
+val key_backoff : string -> string -> string
 (** [wf:I:b:P] — a policy retry of [P] is waiting out its backoff;
     valued with {!encode_backoff}. Written in the same transaction as
     the attempt bump, so a crash mid-backoff recovers the remaining
     budget and the remaining wait, never a reset. *)
 
-val key_comp : string -> path -> string
+val key_comp : string -> string -> string
 (** [wf:I:comp:P] — the compensation for [P]'s abort has been recorded;
     written atomically with the abort completion (exactly-once). *)
 

@@ -657,6 +657,41 @@ task t5 of taskclass Audit {
       (match other with Some s -> Format.asprintf "%a" Wstate.pp_task_state s | None -> "none"));
   check_int "one reconfiguration" 1 (Engine.reconfigs_total tb.Testbed.engine)
 
+(* A constituent that ran and was then removed keeps its records in the
+   store and in the mirror; a crash must not lose them either: recovery
+   finds store records of paths the current script lacks and answers
+   for them exactly as before the crash. *)
+let test_removed_task_survives_recovery () =
+  let tb = Testbed.make () in
+  Workloads.register tb.Testbed.registry;
+  let script, root = Workloads.chain ~n:4 in
+  let iid =
+    match Engine.launch tb.Testbed.engine ~script ~root ~inputs:Workloads.seed_inputs with
+    | Ok iid -> iid
+    | Error e -> Alcotest.failf "launch: %s" e
+  in
+  let extra =
+    {|
+task extra of taskclass Step {
+    implementation { "code" is "w.step" };
+    inputs { input main { inputobject data from { data of task s1 if output done } } }
+}
+|}
+  in
+  reconfigure_ok tb (Reconfig.add_constituent ~scope:[ "chain" ] ~decl:extra);
+  reconfigure_ok tb (Reconfig.remove_constituent ~scope:[ "chain" ] ~name:"extra");
+  let e = tb.Testbed.engine in
+  let before = Engine.task_states e iid in
+  check "instance done" true
+    (match Engine.status e iid with Some (Wstate.Wf_done _) -> true | _ -> false);
+  check "the removed task's record is kept" true (List.mem_assoc "chain/extra" before);
+  Testbed.crash tb "n0";
+  Testbed.recover tb "n0";
+  Testbed.run tb;
+  check "same task states after recovery" true (Engine.task_states e iid = before);
+  check "removed path still answers" true
+    (Engine.task_state e iid ~path:[ "chain"; "extra" ] = List.assoc_opt "chain/extra" before)
+
 let test_reconfigure_rejects_invalid () =
   let tb = Testbed.make () in
   Impls.register_quickstart tb.Testbed.registry;
@@ -764,6 +799,44 @@ compoundtask outer of taskclass Outer {
     check_str "nested script's report surfaced" "reroute+reschedule" (obj_str objects "report")
   | Error e -> Alcotest.failf "launch: %s" e
 
+
+(* Recovery reads the committed store once, not once per instance: an
+   engine holding [n] concluded chains recovers every instance and task
+   state unchanged, in work linear in [n]. Returns the minor words the
+   recovery allocated. *)
+let recover_chains n =
+  let tb = Testbed.make () in
+  Workloads.register tb.Testbed.registry;
+  let e = tb.Testbed.engine in
+  let script, root = Workloads.chain ~n:3 in
+  List.iter
+    (fun _ ->
+      match Engine.launch e ~script ~root ~inputs:Workloads.seed_inputs with
+      | Ok _ -> ()
+      | Error err -> Alcotest.failf "launch: %s" err)
+    (List.init n Fun.id);
+  Testbed.run tb;
+  let snapshot () =
+    List.map (fun iid -> (iid, Engine.status e iid, Engine.task_states e iid)) (Engine.instances e)
+  in
+  let before = snapshot () in
+  check_int "instances launched" n (List.length before);
+  check "all concluded" true
+    (List.for_all (function _, Some (Wstate.Wf_done _), _ -> true | _ -> false) before);
+  Testbed.crash tb "n0";
+  let w0 = Gc.minor_words () in
+  Testbed.recover tb "n0";
+  Testbed.run tb;
+  let words = Gc.minor_words () -. w0 in
+  check (Printf.sprintf "%d instances recovered unchanged" n) true (snapshot () = before);
+  words
+
+let test_recovery_linear () =
+  let w1 = recover_chains 1000 in
+  let w2 = recover_chains 2000 in
+  if w2 > 2.5 *. w1 then
+    Alcotest.failf "recovery work grows faster than the instance count: %.0f words at 1000, %.0f at 2000 (%.2fx > 2.5x)"
+      w1 w2 (w2 /. w1)
 
 let test_gc_finished_instance () =
   let tb = Testbed.make () in
@@ -1441,6 +1514,7 @@ let () =
           Alcotest.test_case "crash during launch commit" `Quick test_crash_during_launch_commit;
           Alcotest.test_case "partition engine/host" `Quick test_partition_between_engine_and_host;
           Alcotest.test_case "forty concurrent instances" `Quick test_many_concurrent_instances;
+          Alcotest.test_case "recovery linear in instances" `Quick test_recovery_linear;
         ] );
       ( "dataflow",
         [
@@ -1459,6 +1533,8 @@ let () =
         [
           Alcotest.test_case "add task mid-run" `Quick test_reconfigure_add_task_mid_run;
           Alcotest.test_case "rejects invalid" `Quick test_reconfigure_rejects_invalid;
+          Alcotest.test_case "removed task survives recovery" `Quick
+            test_removed_task_survives_recovery;
           Alcotest.test_case "online upgrade" `Quick test_online_upgrade_rebind;
           Alcotest.test_case "sub-workflow binding" `Quick test_sub_workflow_binding;
           Alcotest.test_case "admin workflow reconfigures" `Quick

@@ -277,12 +277,14 @@ let pure_effective (t : Schema.task) =
     Sched.E_compound { children; bindings; alias = t.Schema.name }
   | Schema.Simple -> Sched.E_fn t.Schema.name
 
-let pure_view ?(states = []) ?(chosen = []) ?(marks = fun _ -> []) () =
+(* The schema's node table, and a view keyed by path through it. *)
+let pure_index schema = Sched.build_index ~gen:0 ~effective:pure_effective schema
+
+let pure_view idx ?(states = []) ?(chosen = []) ?(marks = fun _ -> []) () =
   {
-    Sched.v_effective = pure_effective;
-    v_state = (fun p -> List.assoc_opt p states);
-    v_chosen = (fun p -> List.assoc_opt p chosen);
-    v_marks = marks;
+    Sched.v_state = (fun id -> List.assoc_opt (Sched.path idx id) states);
+    v_chosen = (fun id -> List.assoc_opt (Sched.path idx id) chosen);
+    v_marks = (fun id -> marks (Sched.path idx id));
     v_repeat = (fun _ -> None);
     v_timer_fired = (fun _ ~set:_ -> false);
     v_external = (fun _ -> None);
@@ -377,8 +379,9 @@ let prop_alternative_order_respected =
             ([ "alt"; Printf.sprintf "p%d" i ], st))
           (List.init k (fun i -> i + 1))
       in
+      let idx = pure_index schema in
       let view =
-        pure_view
+        pure_view idx
           ~states:
             (([ "alt" ], Wstate.Running { attempt = 1; set = "main"; started = 0; deadline = max_int })
             :: producer_states)
@@ -388,10 +391,10 @@ let prop_alternative_order_respected =
       let consumer_input =
         List.find_map
           (function
-            | Sched.Start { a_path = [ "alt"; "consumer" ]; a_inputs; _ } ->
+            | Sched.Start { a_id; a_inputs; _ } when Sched.path idx a_id = [ "alt"; "consumer" ] ->
               Some (List.assoc_opt "data" a_inputs)
             | _ -> None)
-          (Sched.scan view ~root:schema)
+          (Sched.scan idx view)
       in
       (* first available producer in *declared* order, not numeric order *)
       let expected = List.find_opt (fun i -> List.nth avail (i - 1)) order in
@@ -442,9 +445,11 @@ let prop_mark_excludes_later_abort =
         Gen.(triple bool (int_range 1 6) (int_range 0 4)))
     (fun (marked, attempt, retries) ->
       let task = risky_task ~retries in
-      let path = [ "m"; "t" ] in
+      let idx = pure_index task in
+      let id = Sched.root idx in
+      let path = Sched.path idx id in
       let view =
-        pure_view
+        pure_view idx
           ~marks:(fun p ->
             if marked && p = path then
               [ ("progress", [ ("data", Value.obj ~cls:"Data" Value.Unit) ]) ]
@@ -452,17 +457,17 @@ let prop_mark_excludes_later_abort =
           ()
       in
       let d =
-        Sched.report_decision view ~task ~path ~attempt ~is_mark:false ~output:"failed"
+        Sched.report_decision view ~task ~id ~attempt ~is_mark:false ~output:"failed"
           ~objects:[]
       in
       if marked then
         match d with
-        | Sched.D_apply (Sched.Fail_task { a_path; _ }) -> a_path = path
+        | Sched.D_apply (Sched.Fail_task { a_id; _ }) -> a_id = id
         | _ -> false
       else if attempt <= retries then d = Sched.D_auto_restart
       else
         match d with
-        | Sched.D_apply (Sched.Complete { a_kind = Ast.Abort_outcome; a_path; _ }) -> a_path = path
+        | Sched.D_apply (Sched.Complete { a_kind = Ast.Abort_outcome; a_id; _ }) -> a_id = id
         | _ -> false)
 
 (* --- gantt smoke --- *)

@@ -298,6 +298,66 @@ let test_registry_bound_subworkflow () =
     (match status with Wstate.Wf_done _ -> true | _ -> false);
   ignore (modes_agree ~register:register_impact ~inputs:alarms_input (impact_outer, "outer"))
 
+(* [impact] is bound to the sub-workflow only after the instance has
+   started, while [first] still runs: the node table compiled at launch
+   saw a leaf there, and must not be reused once the binding changes *)
+let impact_late =
+  {|
+class Alarms;
+class Report;
+class Data;
+taskclass Step {
+    inputs { input main { data of class Data } };
+    outputs { outcome done { data of class Data } }
+};
+taskclass Outer {
+    inputs { input main { alarmsSource of class Alarms; data of class Data } };
+    outputs { outcome done { report of class Report } }
+};
+taskclass ServiceImpactApplication {
+    inputs { input main { alarmsSource of class Alarms } };
+    outputs {
+        outcome resolved { resolutionReport of class Report };
+        outcome notResolved { }
+    }
+};
+compoundtask outer of taskclass Outer {
+    task first of taskclass Step {
+        implementation { "code" is "w.step" };
+        inputs { input main { inputobject data from { data of task outer if input main } } }
+    };
+    task impact of taskclass ServiceImpactApplication {
+        implementation { "code" is "impactScript" };
+        inputs { input main {
+            inputobject alarmsSource from { alarmsSource of task outer if input main };
+            notification from { task first if output done }
+        } }
+    };
+    outputs {
+        outcome done {
+            outputobject report from { resolutionReport of task impact if output resolved }
+        }
+    }
+}
+|}
+
+let test_late_subworkflow_binding () =
+  let register reg =
+    Workloads.register reg;
+    Impls.register_service_impact ~scenario:Impls.Impact_resolved reg
+  in
+  let bind_late tb _ =
+    Sim.run ~until:(Sim.ms 1 / 2) tb.Testbed.sim;
+    register_impact tb.Testbed.registry
+  in
+  let inputs = alarms_input @ Workloads.seed_inputs in
+  let _, status, _, _ =
+    drive ~incremental:true ~register ~inputs ~mid:bind_late (impact_late, "outer")
+  in
+  check "the late-bound sub-workflow ran to completion" true
+    (match status with Wstate.Wf_done _ -> true | _ -> false);
+  ignore (modes_agree ~register ~inputs ~mid:bind_late (impact_late, "outer"))
+
 (* add a constituent to the chain while it runs: [extra] consumes the
    third step, so the index rebuilt after the swap must schedule it *)
 let add_extra ast =
@@ -340,34 +400,229 @@ let test_repeats_under_crash () =
   check "crash/recovery: same final task states" true (st_inc = st_ref);
   check "crash/recovery: same marks" true (m_inc = m_ref)
 
+(* --- cost per dispatch does not grow with scope width --- *)
+
+(* Allocation per dispatch on one engine, for a chain of [n] steps. The
+   first instance fills the compile cache; the second is measured, so
+   only per-event work counts. A pass visits the dirty nodes and their
+   consumers, never the whole scope, so the figure is flat in [n]. *)
+let words_per_dispatch tb n =
+  let e = tb.Testbed.engine in
+  let script, root = Workloads.chain ~n in
+  let run () =
+    match Engine.launch e ~script ~root ~inputs:Workloads.seed_inputs with
+    | Error err -> Alcotest.failf "launch failed: %s" err
+    | Ok iid ->
+      Testbed.run tb;
+      check (Printf.sprintf "chain-%d concluded" n) true
+        (match Engine.status e iid with Some (Wstate.Wf_done _) -> true | _ -> false)
+  in
+  run ();
+  let d0 = Engine.dispatches_total e in
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. w0 in
+  let dispatches = Engine.dispatches_total e - d0 in
+  check_int (Printf.sprintf "chain-%d dispatches" n) n dispatches;
+  words /. float_of_int dispatches
+
+let test_flat_cost_per_dispatch () =
+  (* the legacy trace renders a string per event, a constant that would
+     only dilute the ratio; the scheduler and mirror are what is measured *)
+  let tb = Testbed.make ~engine_config:{ Engine.default_config with trace = false } () in
+  Workloads.register tb.Testbed.registry;
+  let narrow = words_per_dispatch tb 32 in
+  let wide = words_per_dispatch tb 512 in
+  if wide > 1.25 *. narrow then
+    Alcotest.failf "words per dispatch grow with width: chain-32 %.0f, chain-512 %.0f (%.2fx > 1.25x)"
+      narrow wide (wide /. narrow)
+
 (* --- pointwise: scan_from against scan on a fresh instance --- *)
 
-let pointwise (script, root) =
+let registry_effective = Registry.effective (Registry.create ())
+
+let compile_or_fail (script, root) =
   match Frontend.compile script ~root with
   | Error e -> Alcotest.failf "compile failed: %s" (Frontend.error_to_string e)
-  | Ok schema ->
-    let effective t = Registry.effective (Registry.create ()) t in
-    let inst =
-      Instate.create ~iid:"pw" ~script_text:script ~schema ~status:Wstate.Wf_running
-        ~external_inputs:Workloads.seed_inputs
-    in
-    let v = Instate.view inst ~effective in
-    let idx = Sched.build_index ~effective schema in
-    let full = Sched.scan v ~root:schema in
-    let from_all = Sched.scan_from idx v ~root:schema ~dirty:Sched.All in
-    check "scan_from All = scan" true (from_all = full);
-    check "scan_from clean = []" true (Sched.scan_from idx v ~root:schema ~dirty:Sched.no_dirty = []);
-    (* the launch frontier is exactly what marking the root dirty finds *)
-    let from_root =
-      Sched.scan_from idx v ~root:schema ~dirty:(Sched.Paths [ [ schema.Schema.name ] ])
-    in
-    check "root-dirty finds the launch frontier" true (from_root = full)
+  | Ok schema -> schema
+
+let pointwise (script, root) =
+  let schema = compile_or_fail (script, root) in
+  let index = Sched.build_index ~gen:0 ~effective:registry_effective schema in
+  let inst =
+    Instate.create ~iid:"pw" ~script_text:script ~schema ~index ~status:Wstate.Wf_running
+      ~external_inputs:Workloads.seed_inputs
+  in
+  let v = Instate.view inst in
+  let full = Sched.scan index v in
+  let from_all = Sched.scan_from index v ~dirty:Sched.All in
+  check "scan_from All = scan" true (from_all = full);
+  check "scan_from clean = []" true (Sched.scan_from index v ~dirty:Sched.no_dirty = []);
+  (* the launch frontier is exactly what marking the root dirty finds *)
+  let from_root = Sched.scan_from index v ~dirty:(Sched.Ids [ Sched.root index ]) in
+  check "root-dirty finds the launch frontier" true (from_root = full)
+
+(* A pass whose candidates are all settled allocates nothing: the
+   worklist and its marks live in the node table and are reused. *)
+let test_pass_allocates_nothing () =
+  let schema = compile_or_fail (Workloads.chain ~n:512) in
+  let idx = Sched.build_index ~gen:0 ~effective:registry_effective schema in
+  let running = Some (Wstate.Running { attempt = 1; set = "main"; started = 0; deadline = max_int }) in
+  let settled = Some (Wstate.Done { attempt = 1; output = "done"; kind = Ast.Outcome; objects = [] }) in
+  let v =
+    {
+      Sched.v_state = (fun id -> if id = Sched.root idx then running else settled);
+      v_chosen = (fun _ -> None);
+      v_marks = (fun _ -> []);
+      v_repeat = (fun _ -> None);
+      v_timer_fired = (fun _ ~set:_ -> false);
+      v_external = (fun _ -> None);
+      v_running = true;
+    }
+  in
+  let dirty = Sched.Ids [ Option.get (Sched.id_of_path idx [ "chain"; "s300" ]) ] in
+  ignore (Sched.scan_from idx v ~dirty);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Sched.scan_from idx v ~dirty))
+  done;
+  check "no words allocated" true (Gc.minor_words () -. w0 = 0.)
 
 let test_pointwise () =
   pointwise (Workloads.chain ~n:8);
   pointwise (Workloads.fanout ~width:4);
   pointwise (Workloads.nested ~depth:4);
   pointwise (Workloads.alternatives ~k:3 ~alive:2)
+
+(* --- the dense node table --- *)
+
+let ids_of idx = List.init (Sched.size idx) Fun.id
+
+let test_node_table () =
+  let schema = compile_or_fail (Workloads.nested ~depth:3) in
+  let idx = Sched.build_index ~gen:0 ~effective:registry_effective schema in
+  check_int "root is id 0" 0 (Sched.root idx);
+  List.iter
+    (fun id ->
+      let path = Sched.path idx id in
+      check "path resolves to its id" true (Sched.id_of_path idx path = Some id);
+      check "key resolves to its id" true
+        (Sched.id_of_key idx (Sched.key idx id) = Some id);
+      check "key is the joined path" true (Sched.key idx id = String.concat "/" path);
+      (* preorder: a parent's id precedes its constituents', and the ids
+         strictly below a node are exactly those whose path extends it *)
+      let p = Sched.parent idx id in
+      check "parent first" true (p < id);
+      let below = ref [] in
+      Sched.iter_below idx id (fun d -> below := d :: !below);
+      let expected =
+        List.filter
+          (fun d ->
+            let dp = Sched.path idx d in
+            List.length dp > List.length path
+            && List.filteri (fun i _ -> i < List.length path) dp = path)
+          (ids_of idx)
+      in
+      check "subtree is an id range" true (List.rev !below = expected))
+    (ids_of idx);
+  check "unknown path" true (Sched.id_of_path idx [ "nope" ] = None)
+
+(* chain -> a -> c, optionally with b (also fed by a) declared between
+   them *)
+let abc ~with_b =
+  let step name src =
+    Printf.sprintf
+      {|
+    task %s of taskclass Step {
+        implementation { "code" is "w.step" };
+        inputs { input main { inputobject data from { %s } } }
+    };|}
+      name src
+  in
+  ( {|
+class Data;
+taskclass Step {
+    inputs { input main { data of class Data } };
+    outputs { outcome done { data of class Data } }
+};
+taskclass Chain {
+    inputs { input main { data of class Data } };
+    outputs { outcome finished { data of class Data } }
+};
+compoundtask chain of taskclass Chain {|}
+    ^ step "a" "data of task chain if input main"
+    ^ (if with_b then step "b" "data of task a if output done" else "")
+    ^ step "c" "data of task a if output done"
+    ^ {|
+    outputs { outcome finished { outputobject data from { data of task c if output done } } }
+}
+|},
+    "chain" )
+
+(* recompiling against a previous table keeps the ids of surviving
+   paths, appends new paths and retires vanished ones; passes still run
+   in declaration order, which is no longer id order *)
+let test_append_only_rebuild () =
+  let build ?prev sr = Sched.build_index ?prev ~gen:0 ~effective:registry_effective (compile_or_fail sr) in
+  let idx = build (abc ~with_b:false) in
+  let idx2 = build ~prev:idx (abc ~with_b:true) in
+  List.iter
+    (fun id -> check "surviving path keeps its id" true (Sched.path idx2 id = Sched.path idx id))
+    (ids_of idx);
+  let id2 name = Option.get (Sched.id_of_path idx2 [ "chain"; name ]) in
+  check "new path appended" true (id2 "b" = Sched.size idx);
+  check "declared before c, numbered after it" true (id2 "b" > id2 "c");
+  let v =
+    {
+      Sched.v_state =
+        (fun id ->
+          if id = 0 then
+            Some (Wstate.Running { attempt = 1; set = "main"; started = 0; deadline = max_int })
+          else if id = id2 "a" then
+            Some
+              (Wstate.Done
+                 {
+                   attempt = 1;
+                   output = "done";
+                   kind = Ast.Outcome;
+                   objects = [ ("data", Value.obj ~cls:"Data" (Value.Int 1)) ];
+                 })
+          else None);
+      v_chosen = (fun _ -> None);
+      v_marks = (fun _ -> []);
+      v_repeat = (fun _ -> None);
+      v_timer_fired = (fun _ ~set:_ -> false);
+      v_external = (fun _ -> None);
+      v_running = true;
+    }
+  in
+  let started acts =
+    List.filter_map (function Sched.Start { a_id; _ } -> Some (Sched.key idx2 a_id) | _ -> None) acts
+  in
+  check "full scan: declaration order" true (started (Sched.scan idx2 v) = [ "chain/b"; "chain/c" ]);
+  check "incremental: declaration order" true
+    (started (Sched.scan_from idx2 v ~dirty:(Sched.Ids [ id2 "a" ])) = [ "chain/b"; "chain/c" ]);
+  let idx3 = build ~prev:idx2 (abc ~with_b:false) in
+  check "vanished path retires" true (Sched.node idx3 (id2 "b") = None);
+  check "retired id still named" true (Sched.id_of_key idx3 "chain/b" = Some (id2 "b"));
+  check "retired id off the walk" true (started (Sched.scan idx3 v) = [ "chain/c" ])
+
+(* store records of a path the table lacks get retired ids *)
+let test_extend_retired () =
+  let schema = compile_or_fail (Workloads.chain ~n:2) in
+  let idx = Sched.build_index ~gen:0 ~effective:registry_effective schema in
+  check "known keys: same table" true (Sched.extend idx [ "chain/s1" ] == idx);
+  let idx' = Sched.extend idx [ "chain/gone/deep"; "chain/s2" ] in
+  let gone = Option.get (Sched.id_of_key idx' "chain/gone") in
+  let deep = Option.get (Sched.id_of_key idx' "chain/gone/deep") in
+  check "ids appended" true (gone >= Sched.size idx && deep >= Sched.size idx);
+  check "retired" true (Sched.node idx' deep = None);
+  check "parent interned" true (Sched.parent idx' deep = gone);
+  check "path rebuilt" true (Sched.path idx' deep = [ "chain"; "gone"; "deep" ]);
+  let below = ref [] in
+  Sched.iter_below idx' gone (fun d -> below := d :: !below);
+  check "retired below retired" true (!below = [ deep ]);
+  check "original untouched" true (Sched.id_of_key idx "chain/gone" = None)
 
 (* --- deterministic backoff jitter --- *)
 
@@ -436,12 +691,21 @@ let () =
           Alcotest.test_case "workload families" `Quick test_families;
           Alcotest.test_case "crash recovery" `Quick test_crash_recovery;
           Alcotest.test_case "pointwise scan_from" `Quick test_pointwise;
+          Alcotest.test_case "node table" `Quick test_node_table;
+          Alcotest.test_case "append-only rebuild" `Quick test_append_only_rebuild;
+          Alcotest.test_case "retired ids for unknown records" `Quick test_extend_retired;
           Alcotest.test_case "chain of 512" `Quick test_wide_chain;
           Alcotest.test_case "business trip repeats and marks" `Quick test_business_trip_repeats;
           Alcotest.test_case "timer inputs" `Quick test_timers;
           Alcotest.test_case "registry-bound sub-workflow" `Quick test_registry_bound_subworkflow;
+          Alcotest.test_case "late sub-workflow binding" `Quick test_late_subworkflow_binding;
           Alcotest.test_case "mid-run reconfigure" `Quick test_mid_run_reconfigure;
           Alcotest.test_case "repeats under crash and recovery" `Quick test_repeats_under_crash;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "flat words per dispatch" `Quick test_flat_cost_per_dispatch;
+          Alcotest.test_case "settled pass allocates nothing" `Quick test_pass_allocates_nothing;
         ] );
       ( "jitter",
         [
